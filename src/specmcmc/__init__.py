@@ -37,6 +37,7 @@ from .models import (
     DEFAULT_PRIORS,
     ModelSpec,
     NaturalParams,
+    ParameterRangeError,
     PriorHyperparams,
     ar_to_pacf,
     from_natural,

@@ -351,15 +351,7 @@ def cmd_fit(config_path: str) -> None:
             ([_fmt(a), _fmt(b)] for a, b in zip(grid, density)),
         )
     log_spec = diagnostics.posterior_mean_spectrum(
-        sampler.ChainOutput(
-            draws=_thinned(output.draws),
-            loglik_trace=output.loglik_trace[: len(_thinned(output.draws))],
-            acceptance_rate=output.acceptance_rate,
-            density_evals=output.density_evals,
-            param_names=output.param_names,
-        ),
-        config.model,
-        data.periodogram.grid,
+        _thinned(output.draws), config.model, data.periodogram.grid
     )
     _write_csv(
         out / "spectrum.csv",

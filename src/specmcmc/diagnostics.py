@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .models import ModelSpec, _density_from_unit_circle, to_natural
+from .models import ModelSpec, density_from_trig, to_natural, trig_table
 from .sampler import ChainOutput
 from .spectral import FrequencyGrid
 
@@ -102,16 +102,17 @@ def kde_grid(samples, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def posterior_mean_spectrum(output: ChainOutput, model: ModelSpec, grid: FrequencyGrid) -> np.ndarray:
-    """Posterior mean of log f(omega) over the kept draws.
+def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.ndarray:
+    """Posterior mean of log f(omega) over the rows of ``draws``.
 
     Averaging on the log scale keeps the summary stable for long-memory
     models, whose density draws near omega = 0 are heavy-tailed enough that a
     plain mean would be dominated by a few of them.
     """
-    draws = output.draws if hasattr(output, "draws") else np.asarray(output)
-    z = np.exp(-1j * grid.omegas)
+    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    trig = trig_table(model, grid.omegas)
+    dens, work = np.empty(grid.n_freq), np.empty((2, grid.n_freq))
     total = np.zeros(grid.n_freq)
     for row in draws:
-        total += np.log(_density_from_unit_circle(model, to_natural(model, row), z))
+        total += np.log(density_from_trig(model, to_natural(model, row), trig, dens, work), out=dens)
     return total / len(draws)

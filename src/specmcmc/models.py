@@ -11,6 +11,7 @@ admissible).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ class NaturalParams:
     def __post_init__(self) -> None:
         for name in ("phi", "theta"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         if not self.sigma2 > 0:
@@ -94,14 +95,12 @@ def pacf_to_ar(pacf) -> np.ndarray:
     phi_k^(k) = pacf_k and phi_j^(k) = phi_j^(k-1) - pacf_k * phi_{k-j}^(k-1);
     any pacf in (-1, 1)^q yields a stationary coefficient vector.
     """
-    pacf = np.asarray(pacf, dtype=float)
-    coeffs = np.zeros(0)
-    for k, r in enumerate(pacf, start=1):
-        prev = coeffs
-        coeffs = np.empty(k)
-        coeffs[: k - 1] = prev - r * prev[::-1]
-        coeffs[k - 1] = r
-    return coeffs
+    # Python floats: the orders are small, and numpy's per-call cost on
+    # arrays this short would dominate every density evaluation.
+    coeffs: list[float] = []
+    for r in np.asarray(pacf, dtype=float).tolist():
+        coeffs = [c - r * b for c, b in zip(coeffs, reversed(coeffs))] + [r]
+    return np.array(coeffs)
 
 
 def ar_to_pacf(coeffs) -> np.ndarray:
@@ -129,12 +128,36 @@ def _ma_to_unconstrained(theta: np.ndarray) -> np.ndarray:
     return np.arctanh(-ar_to_pacf(-np.asarray(theta, dtype=float)))
 
 
+class ParameterRangeError(ValueError):
+    """A log-scale coordinate whose exp overflows or underflows a float.
+
+    Samplers treat it as a proposal outside the model's range, with log
+    target -inf; everywhere else it is an ordinary ``ValueError``.
+    """
+
+
+def _exp_positive(value: float, name: str) -> float:
+    """exp of a log-scale coordinate, which must be a normal positive float."""
+    try:
+        out = math.exp(value)
+    except OverflowError:
+        raise ParameterRangeError(f"{name} = exp({value:g}) overflows") from None
+    if out < sys.float_info.min:
+        raise ParameterRangeError(f"{name} = exp({value:g}) underflows")
+    return out
+
+
 def to_natural(spec: ModelSpec, vector) -> NaturalParams:
-    """Decode an unconstrained vector into natural-scale parameters."""
+    """Decode an unconstrained vector into natural-scale parameters.
+
+    Raises :class:`ParameterRangeError` when a log-scale coordinate (log
+    sigma2, log lambda, log sigma2_eps) is too large or too small for its exp
+    to be a normal float.
+    """
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {vector.shape}")
-    if not np.all(np.isfinite(vector)):
+    if not np.isfinite(vector).all():
         raise ValueError("parameter vector contains non-finite entries")
     q, p = spec.ar_order, spec.ma_order
     phi = pacf_to_ar(np.tanh(vector[:q]))
@@ -146,11 +169,11 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
         pos += 1
     elif spec.fractional == "artfima":
         d = float(vector[pos])
-        lambda_ = math.exp(vector[pos + 1])
+        lambda_ = _exp_positive(vector[pos + 1], "lambda")
         pos += 2
-    sigma2 = math.exp(vector[pos])
+    sigma2 = _exp_positive(vector[pos], "sigma2")
     pos += 1
-    sigma2_eps = math.exp(vector[pos]) if spec.sv_wrapper else None
+    sigma2_eps = _exp_positive(vector[pos], "sigma2_eps") if spec.sv_wrapper else None
     return NaturalParams(phi=phi, theta=theta, d=d, lambda_=lambda_, sigma2=sigma2, sigma2_eps=sigma2_eps)
 
 
@@ -176,32 +199,80 @@ def from_natural(spec: ModelSpec, nat: NaturalParams) -> np.ndarray:
     return vector
 
 
-def _density_from_unit_circle(spec: ModelSpec, nat: NaturalParams, z: np.ndarray) -> np.ndarray:
-    """Spectral density evaluated from z = exp(-i*omega).
+def trig_table(spec: ModelSpec, omegas) -> np.ndarray:
+    """Theta-independent factors of the density at each frequency, one row each.
 
-    f(omega) = sigma2/(2*pi) * |1 - exp(-(lambda + i*omega))|^(-2d)
-               * |theta(z)|^2 / |phi(z)|^2   (+ sigma2_eps/(2*pi) if wrapped),
-    with theta(z) = 1 + sum theta_j z^j and phi(z) = 1 - sum phi_i z^i.
+    With order = max(p, q), rows 0..order-1 hold cos(k*omega) and rows
+    order..2*order-1 hold sin(k*omega) for k = 1..order; the last row holds
+    sin(omega/2)^2.  Columns are frequencies, so the table of a frequency
+    subset is one ``np.take`` along axis 1.
     """
-    ar_poly = np.ones_like(z)
-    ma_poly = np.ones_like(z)
-    power = z
-    for lag in range(max(nat.phi.size, nat.theta.size)):
-        if lag < nat.phi.size:
-            ar_poly = ar_poly - nat.phi[lag] * power
-        if lag < nat.theta.size:
-            ma_poly = ma_poly + nat.theta[lag] * power
-        power = power * z
-    dens = (nat.sigma2 / (2.0 * np.pi)) * (
-        (ma_poly.real**2 + ma_poly.imag**2) / (ar_poly.real**2 + ar_poly.imag**2)
-    )
+    omegas = np.asarray(omegas, dtype=float)
+    order = max(spec.ar_order, spec.ma_order)
+    table = np.empty((2 * order + 1, omegas.size))
+    angles = np.arange(1, order + 1)[:, None] * omegas
+    np.cos(angles, out=table[:order])
+    np.sin(angles, out=table[order : 2 * order])
+    np.square(np.sin(0.5 * omegas), out=table[2 * order])
+    return table
+
+
+def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
+    """|1 + sum_k coef_k exp(-i*k*omega)|^2 into ``re``; ``im`` is overwritten.
+
+    Computed as (1 + sum_k coef_k cos k*omega)^2 + (sum_k coef_k sin k*omega)^2,
+    which has the conditioning of the complex form.  ``tmp`` is scratch for
+    orders above one and is allocated when not given.
+    """
+    np.multiply(cos[0], coef[0], out=re)
+    np.multiply(sin[0], coef[0], out=im)
+    if coef.size > 1 and tmp is None:
+        tmp = np.empty_like(re)
+    for k in range(1, coef.size):
+        re += np.multiply(cos[k], coef[k], out=tmp)
+        im += np.multiply(sin[k], coef[k], out=tmp)
+    re += 1.0
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    return re
+
+
+def density_from_trig(
+    spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Spectral density at the frequencies of a :func:`trig_table`, into ``out``.
+
+    f(omega) = sigma2/(2*pi) * |theta(z)|^2 / |phi(z)|^2 * T(omega)^(-d)
+               (+ sigma2_eps/(2*pi) if wrapped),
+    with z = exp(-i*omega), theta(z) = 1 + sum theta_j z^j, phi(z) = 1 - sum
+    phi_i z^i, and T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as
+    expm1(-lambda)^2 + 4 exp(-lambda) sin(omega/2)^2 (lambda = 0 for ARFIMA),
+    which stays accurate as omega -> 0.  Real arithmetic throughout, in place:
+    ``out`` has one entry per table column and ``work`` is a (2, n) scratch
+    array that is overwritten.
+    """
+    order = (trig.shape[0] - 1) // 2
+    cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
+    scale = nat.sigma2 / (2.0 * np.pi)
+    if nat.phi.size:
+        _circle_power(-nat.phi, cos, sin, out, work[0], work[1])
+        np.divide(scale, out, out=out)
+    else:
+        out.fill(scale)
+    if nat.theta.size:
+        out *= _circle_power(nat.theta, cos, sin, work[0], work[1])
     if spec.fractional != "none" and nat.d != 0.0:
-        damp = math.exp(-nat.lambda_) if nat.lambda_ is not None else 1.0
-        frac = 1.0 - damp * z
-        dens = dens * (frac.real**2 + frac.imag**2) ** (-nat.d)
+        temper = work[0]
+        if nat.lambda_ is None:
+            np.multiply(half_sin2, 4.0, out=temper)
+        else:
+            np.multiply(half_sin2, 4.0 * math.exp(-nat.lambda_), out=temper)
+            temper += math.expm1(-nat.lambda_) ** 2
+        out *= np.power(temper, -nat.d, out=temper)
     if spec.sv_wrapper:
-        dens = dens + nat.sigma2_eps / (2.0 * np.pi)
-    return dens
+        out += nat.sigma2_eps / (2.0 * np.pi)
+    return out
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
@@ -209,7 +280,8 @@ def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray |
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr <= 0.0) or np.any(omega_arr >= np.pi):
         raise ValueError("frequencies must lie strictly inside (0, pi)")
-    dens = _density_from_unit_circle(spec, nat, np.exp(-1j * omega_arr))
+    n = omega_arr.size
+    dens = density_from_trig(spec, nat, trig_table(spec, omega_arr), np.empty(n), np.empty((2, n)))
     return dens if np.ndim(omega) else float(dens[0])
 
 

@@ -11,6 +11,11 @@ Both chains draw proposal increments and acceptance uniforms from one stream
 and subsample indices from a second stream spawned off the same seed, so a
 full-data run and a subsampled run with the same seed see identical proposal
 sequences.
+
+A proposal whose log-scale coordinates leave the floating-point range
+(``ParameterRangeError`` from the parameter map) gets log target -inf: it is
+rejected after the acceptance uniform is drawn, so the random streams stay in
+step with a run that evaluated it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .models import ParameterRangeError
 from .whittle import GroupIndex, fd_gradient, fd_hessian, full_loglik, group_logliks
 
 
@@ -75,6 +81,11 @@ class LogLikEstimate:
     def __post_init__(self) -> None:
         if self.sigma2_hat < 0:
             raise ValueError("variance estimate cannot be negative")
+
+
+# Stands in for the estimate at a proposal outside the model's range: log
+# target -inf, nothing evaluated.
+_OUT_OF_RANGE = LogLikEstimate(ell_hat=-math.inf, sigma2_hat=0.0, density_evals=0)
 
 
 def debias(estimate: LogLikEstimate) -> float:
@@ -240,9 +251,13 @@ def run_full_chain(data, log_prior_fn, settings: ChainSettings, mode: ModeResult
     accepted = 0
     for it in range(total):
         proposal = theta + factor @ rng_chain.standard_normal(dim)
-        lik_prop = full_loglik(data, proposal)
+        try:
+            lik_prop = full_loglik(data, proposal)
+        except ParameterRangeError:
+            lik_prop = -math.inf
+        else:
+            evals += data.n_freq
         pri_prop = log_prior_fn(proposal)
-        evals += data.n_freq
         log_ratio = (lik_prop + pri_prop) - (log_lik + log_pri)
         if math.log(rng_chain.random()) < log_ratio:
             theta, log_lik, log_pri = proposal, lik_prop, pri_prop
@@ -296,7 +311,10 @@ def run_pm_chain(
         proposal = theta + factor @ rng_chain.standard_normal(dim)
         sub_prop = block_refresh(sub, block, rng_sub)
         block = (block + 1) % settings.n_blocks
-        est_prop = diff_estimator(data, g, cv, proposal, sub_prop)
+        try:
+            est_prop = diff_estimator(data, g, cv, proposal, sub_prop)
+        except ParameterRangeError:
+            est_prop = _OUT_OF_RANGE
         pri_prop = log_prior_fn(proposal)
         evals += est_prop.density_evals
         log_ratio = (debias(est_prop) + pri_prop) - (debias(estimate) + log_pri)

@@ -1,10 +1,11 @@
 """Whittle log-likelihood over the positive Fourier grid, whole or in groups.
 
 The likelihood is a sum of per-frequency terms -(log f(omega_k) + I_k /
-f(omega_k)).  Everything downstream (subsampling, control variates) only
-needs the ability to evaluate those terms on an arbitrary index subset, so
-that is the interface ``WhittleData`` exposes; test doubles with the same
-``terms`` method can stand in for it.
+f(omega_k)), with f from the real-valued density kernel in ``models``.
+Everything downstream (subsampling, control variates) only needs the ability
+to evaluate those terms on an arbitrary index subset, so that is the
+interface ``WhittleData`` exposes; test doubles with the same ``terms``
+method can stand in for it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, _density_from_unit_circle, to_natural
+from .models import ModelSpec, density_from_trig, to_natural, trig_table
 from .spectral import Periodogram
 
 
@@ -25,25 +26,37 @@ class WhittleData:
     model: ModelSpec
 
     def __post_init__(self) -> None:
-        # exp(-i*omega) is theta-independent and by far the costliest factor
-        # of a density evaluation, so it is computed once per dataset.
-        z = np.exp(-1j * self.periodogram.grid.omegas)
-        z.flags.writeable = False
-        object.__setattr__(self, "_z", z)
+        # cos(k*omega), sin(k*omega) and sin(omega/2)^2 do not depend on theta,
+        # so they are computed once per dataset and every density evaluation
+        # is real arithmetic on these rows.
+        trig = trig_table(self.model, self.periodogram.grid.omegas)
+        trig.flags.writeable = False
+        object.__setattr__(self, "_trig", trig)
 
     @property
     def n_freq(self) -> int:
         return self.periodogram.grid.n_freq
 
     def terms(self, theta, indices=None) -> np.ndarray:
-        """Whittle terms -(log f + I/f) at all frequencies or a subset."""
+        """Whittle terms -(log f + I/f) at all frequencies or a subset.
+
+        Each term depends only on its own frequency, so a subset's terms equal
+        the matching entries of the full set bit for bit.  Besides a subset's
+        columns of the trig table, allocates the result and a two-row scratch
+        array; everything else runs in place.
+        """
         nat = to_natural(self.model, theta)
         if indices is None:
-            z, ordinates = self._z, self.periodogram.ordinates
+            trig, ordinates = self._trig, self.periodogram.ordinates
         else:
-            z, ordinates = self._z[indices], self.periodogram.ordinates[indices]
-        dens = _density_from_unit_circle(self.model, nat, z)
-        return -(np.log(dens) + ordinates / dens)
+            trig = np.take(self._trig, indices, axis=1)
+            ordinates = self.periodogram.ordinates[indices]
+        work = np.empty((2, trig.shape[1]))
+        dens = density_from_trig(self.model, nat, trig, np.empty(trig.shape[1]), work)
+        ratio = np.divide(ordinates, dens, out=work[0])
+        np.log(dens, out=dens)
+        dens += ratio
+        return np.negative(dens, out=dens)
 
 
 @dataclass(frozen=True)

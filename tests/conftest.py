@@ -1,4 +1,5 @@
-"""Shared fixtures: a quadratic likelihood stand-in and data builders."""
+"""Shared fixtures: a quadratic likelihood stand-in, data builders, and
+hypothesis strategies for model specifications and parameter vectors."""
 
 from __future__ import annotations
 
@@ -7,9 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal import fftconvolve
 
 import specmcmc as sm
+from specmcmc.models import FRACTIONAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -94,3 +98,21 @@ def arma11_data():
     log_prior_fn = lambda v: sm.log_prior(model, v)
     mode = sm.find_mode(data, log_prior_fn, np.zeros(model.n_params))
     return data, log_prior_fn, mode
+
+
+# Orders 0-4, every fractional kind, with and without the volatility wrapper.
+model_specs = st.builds(
+    sm.ModelSpec,
+    ar_order=st.integers(0, 4),
+    ma_order=st.integers(0, 4),
+    fractional=st.sampled_from(FRACTIONAL_KINDS),
+    sv_wrapper=st.booleans(),
+)
+
+
+@st.composite
+def specs_with_vectors(draw, bound: float):
+    """A model specification and an unconstrained vector with entries in [-bound, bound]."""
+    spec = draw(model_specs)
+    vector = draw(arrays(np.float64, spec.n_params, elements=st.floats(-bound, bound)))
+    return spec, vector

@@ -84,23 +84,11 @@ def test_kde_input_validation():
         sm.kde_grid(np.full(50, 3.14))
 
 
-def spectrum_output(draws, names):
-    draws = np.atleast_2d(draws)
-    return sm.ChainOutput(
-        draws=draws,
-        loglik_trace=np.zeros(len(draws)),
-        acceptance_rate=0.5,
-        density_evals=1,
-        param_names=names,
-    )
-
-
 def test_posterior_mean_spectrum_single_draw():
     model = sm.ModelSpec(1, 0)
     grid = sm.FrequencyGrid(64)
     theta = np.array([np.arctanh(0.6), np.log(2.0)])
-    out = spectrum_output(theta, model.param_names())
-    mean_log = sm.posterior_mean_spectrum(out, model, grid)
+    mean_log = sm.posterior_mean_spectrum(theta, model, grid)
     nat = sm.to_natural(model, theta)
     direct = np.log([sm.spectral_density(model, nat, w) for w in grid.omegas])
     np.testing.assert_allclose(mean_log, direct, rtol=1e-12)
@@ -110,8 +98,7 @@ def test_posterior_mean_spectrum_averages_logs():
     model = sm.ModelSpec(0, 0)
     grid = sm.FrequencyGrid(32)
     thetas = np.array([[np.log(1.0)], [np.log(4.0)]])
-    out = spectrum_output(thetas, model.param_names())
-    mean_log = sm.posterior_mean_spectrum(out, model, grid)
+    mean_log = sm.posterior_mean_spectrum(thetas, model, grid)
     # log densities are flat in omega here: log(s2 / 2pi); the average of the
     # two logs is log(2 / 2pi) by symmetry
     np.testing.assert_allclose(mean_log, np.log(2.0 / (2.0 * np.pi)), rtol=1e-12)

@@ -4,8 +4,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import specmcmc as sm
+from conftest import specs_with_vectors
+
+
+def reference_density(spec, nat, omegas):
+    """The density in complex arithmetic, as the package computed it before.
+
+    z^k is exp(-i*k*omega) rather than a running product of z, whose k
+    roundings would make this reference less accurate than the kernel it
+    checks: near-unit-root MA(4) models put the product form 1.3e-10 off a
+    long-double evaluation, against 7e-11 for the real-valued kernel.
+    """
+    ar_poly = np.ones(omegas.size, dtype=complex)
+    ma_poly = np.ones(omegas.size, dtype=complex)
+    for lag in range(max(nat.phi.size, nat.theta.size)):
+        power = np.exp(-1j * (lag + 1) * omegas)
+        if lag < nat.phi.size:
+            ar_poly = ar_poly - nat.phi[lag] * power
+        if lag < nat.theta.size:
+            ma_poly = ma_poly + nat.theta[lag] * power
+    dens = (nat.sigma2 / (2.0 * np.pi)) * (
+        (ma_poly.real**2 + ma_poly.imag**2) / (ar_poly.real**2 + ar_poly.imag**2)
+    )
+    if spec.fractional != "none" and nat.d != 0.0:
+        damp = math.exp(-nat.lambda_) if nat.lambda_ is not None else 1.0
+        frac = 1.0 - damp * np.exp(-1j * omegas)
+        dens = dens * (frac.real**2 + frac.imag**2) ** (-nat.d)
+    if spec.sv_wrapper:
+        dens = dens + nat.sigma2_eps / (2.0 * np.pi)
+    return dens
+
+
+OMEGAS = sm.FrequencyGrid(1001).omegas
 
 
 def test_pacf_to_ar_worked_examples():
@@ -164,6 +197,35 @@ def test_sv_wrapper_adds_noise_floor():
     omegas = np.linspace(0.1, 3.0, 5)
     diff = sm.spectral_density(wrapped, nat_w, omegas) - sm.spectral_density(base, nat_b, omegas)
     np.testing.assert_allclose(diff, (math.pi**2 / 2) / (2 * np.pi), rtol=1e-12)
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=3.0))
+def test_density_matches_complex_reference(case):
+    spec, vector = case
+    nat = sm.to_natural(spec, vector)
+    np.testing.assert_allclose(
+        sm.spectral_density(spec, nat, OMEGAS), reference_density(spec, nat, OMEGAS), rtol=1e-10
+    )
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=10.0))
+def test_density_finite_and_positive(case):
+    spec, vector = case
+    dens = sm.spectral_density(spec, sm.to_natural(spec, vector), OMEGAS)
+    assert np.all(np.isfinite(dens)) and np.all(dens > 0.0)
+
+
+def test_to_natural_out_of_range_is_typed():
+    spec = sm.ModelSpec(1, 0, fractional="artfima", sv_wrapper=True)
+    for pos in (2, 3, 4):  # log lambda, log sigma2, log sigma2_eps
+        for value in (800.0, -800.0):
+            vector = np.zeros(spec.n_params)
+            vector[pos] = value
+            with pytest.raises(sm.ParameterRangeError):
+                sm.to_natural(spec, vector)
+    assert issubclass(sm.ParameterRangeError, ValueError)
 
 
 def test_spectral_density_domain_errors():

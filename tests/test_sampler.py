@@ -275,3 +275,44 @@ def test_param_names_fall_back_to_positions(stub_and_groups):
     settings = sm.ChainSettings(iterations=5, burn_in=0, seed=0)
     out = sm.run_full_chain(stub, lambda v: 0.0, settings, quad_mode(stub))
     assert out.param_names == ("x0", "x1")
+
+
+class InfOutsideRange:
+    """Whittle data whose terms are -inf wherever the parameter map fails."""
+
+    def __init__(self, data):
+        self.data = data
+        self.n_freq = data.n_freq
+        self.out_of_range = 0
+
+    def terms(self, theta, indices=None):
+        try:
+            return self.data.terms(theta, indices)
+        except sm.ParameterRangeError:
+            self.out_of_range += 1
+            return np.full(self.n_freq if indices is None else len(indices), -np.inf)
+
+
+def test_chains_reject_out_of_range_proposals():
+    # a proposal sd in the thousands sends log sigma2 past +-709, where exp
+    # leaves the float range; such proposals are rejected, not fatal
+    ts = sm.demean(sm.simulate_arma([], [], 1.0, 257, seed=5))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(0, 0))
+    mode = sm.ModeResult(theta=np.zeros(1), hessian=np.array([[-1e-6]]), log_posterior=0.0)
+    settings = sm.ChainSettings(iterations=150, burn_in=50, seed=3, m=4, n_blocks=2)
+    full = sm.run_full_chain(data, lambda v: 0.0, settings, mode)
+    assert np.all(np.abs(full.draws) < 709.0)
+    # the rejection draws its acceptance uniform like any other, so the chain
+    # matches one whose likelihood is -inf out there
+    inf_data = InfOutsideRange(data)
+    reference = sm.run_full_chain(inf_data, lambda v: 0.0, settings, mode)
+    assert inf_data.out_of_range > 10
+    np.testing.assert_array_equal(full.draws, reference.draws)
+    assert full.acceptance_rate == reference.acceptance_rate
+    assert full.density_evals == data.n_freq * (1 + 200 - inf_data.out_of_range)
+
+    groups = sm.make_groups(data.n_freq, 8)
+    pm = sm.run_pm_chain(data, groups, None, lambda v: 0.0, settings, mode)
+    again = sm.run_pm_chain(data, groups, None, lambda v: 0.0, settings, mode)
+    np.testing.assert_array_equal(pm.draws, again.draws)
+    assert np.all(np.abs(pm.draws) < 709.0) and np.all(np.isfinite(pm.loglik_trace))

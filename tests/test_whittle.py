@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmcmc as sm
-from conftest import make_quadratic_stub
+from conftest import make_quadratic_stub, specs_with_vectors
 
 
 def small_data(seed=1, n_time=257, model=None):
@@ -114,8 +116,17 @@ def test_fd_rejects_non_finite_stencil():
         sm.fd_gradient(fun, np.array([1e-7]))
 
 
-def test_terms_subset_consistency():
-    data = small_data()
-    theta = np.array([0.05, -0.15])
-    indices = np.array([0, 3, 17, 50])
+SMALL_PERIODOGRAM = small_data().periodogram
+
+
+@settings(deadline=None)
+@given(
+    specs_with_vectors(bound=10.0),
+    st.lists(st.integers(0, SMALL_PERIODOGRAM.grid.n_freq - 1), min_size=1, max_size=40),
+)
+def test_terms_subset_consistency(case, indices):
+    # any index set, unsorted and with repeats, matches the full pass bit for bit
+    spec, theta = case
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    indices = np.array(indices)
     np.testing.assert_array_equal(data.terms(theta, indices), data.terms(theta)[indices])
