@@ -14,12 +14,9 @@ from .control_variates import (
     GroupProjection,
     TaylorCV,
     WeightingDistribution,
+    ZeroCV,
     build_coreset_cv,
     build_taylor_cv,
-    eval_coreset_cv,
-    eval_coreset_cv_total,
-    eval_taylor_cv,
-    eval_taylor_cv_total,
     giga,
     laplace_weighting,
     make_groups,
@@ -75,9 +72,7 @@ from .whittle import (
     fd_hessian,
     full_loglik,
     grad_hess,
-    group_loglik,
     group_logliks,
-    term,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -205,17 +205,21 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
         parser.write(handle)
 
 
+def _simulate(config: ExperimentConfig) -> series.TimeSeries:
+    return series.simulate_arma(
+        np.asarray(config.phi),
+        np.asarray(config.theta),
+        config.sigma2,
+        config.n_time,
+        seed=config.component_seed(0),
+    )
+
+
 def _load_data(config: ExperimentConfig) -> series.TimeSeries:
     if config.source == "file":
         raw = series.load_series(config.path, column=config.column)
     else:
-        raw = series.simulate_arma(
-            np.asarray(config.phi),
-            np.asarray(config.theta),
-            config.sigma2,
-            config.n_time,
-            seed=config.component_seed(0),
-        )
+        raw = _simulate(config)
     if config.log_squares:
         return series.log_square_transform(raw)
     return series.demean(raw)
@@ -260,7 +264,7 @@ def _run_configured_chain(config: ExperimentConfig):
     else:
         groups = cvs.make_groups(data.n_freq, config.group_count)
         if config.cv == "none":
-            variate = None
+            variate = cvs.ZeroCV()
         elif config.cv == "taylor":
             variate = cvs.build_taylor_cv(data, groups, mode.theta)
         else:
@@ -315,13 +319,7 @@ def cmd_simulate(config_path: str) -> None:
     if config.source != "simulate":
         raise ConfigError("simulate command needs a [data] section with source = simulate")
     path = _ensure_outdir(config) / "series.csv"
-    sim = series.simulate_arma(
-        np.asarray(config.phi),
-        np.asarray(config.theta),
-        config.sigma2,
-        config.n_time,
-        seed=config.component_seed(0),
-    )
+    sim = _simulate(config)
     # the column label is a comment so the file feeds straight back into
     # the loader, which treats every non-comment line as data
     with open(path, "w") as handle:
@@ -361,6 +359,17 @@ def cmd_fit(config_path: str) -> None:
     print(f"wrote artifacts to {out}")
 
 
+_DATA_FIELDS = ("source", "path", "column", "phi", "theta", "sigma2", "n_time", "log_squares")
+
+
+def _fit_target(config: ExperimentConfig) -> dict:
+    """What a fit is fit to: the data fields, the seed of simulated data, the model."""
+    target = {name: getattr(config, name) for name in _DATA_FIELDS}
+    target["seed"] = config.seed if config.source == "simulate" else None
+    target["model"] = config.model
+    return target
+
+
 def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
     config_full = load_config(config_full_path)
     config_sub = load_config(config_sub_path)
@@ -368,6 +377,12 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
         raise ConfigError("first config must use method = full")
     if config_sub.method != "subsample":
         raise ConfigError("second config must use method = subsample")
+    target_full, target_sub = _fit_target(config_full), _fit_target(config_sub)
+    differ = [name for name in target_full if target_full[name] != target_sub[name]]
+    if differ:
+        raise ConfigError(
+            f"compare needs both configs to fit the same data: {', '.join(differ)} differ"
+        )
     out = _ensure_outdir(config_sub)
 
     _, _, out_full = _run_configured_chain(config_full)
@@ -425,14 +440,11 @@ def _ensure_outdir(config: ExperimentConfig) -> Path:
 def _categorize(exc: Exception) -> str:
     if isinstance(exc, ConfigError):
         return "config"
-    if isinstance(exc, (FileNotFoundError, OSError)):
+    if isinstance(exc, OSError):
         return "io"
-    if isinstance(exc, np.linalg.LinAlgError):
-        return "numeric"
-    if isinstance(exc, ValueError):
-        message = str(exc)
-        if "line" in message or "observations" in message or "columns" in message:
-            return "data"
+    if isinstance(exc, series.SeriesFileError):
+        return "data"
+    if isinstance(exc, ValueError):  # np.linalg.LinAlgError is one too
         return "numeric"
     return "internal"
 

@@ -1,18 +1,21 @@
 """Control variates for subsampled Whittle log-likelihoods.
 
-Two families are provided.  The Taylor variate replaces each group's
-log-likelihood with its second-order expansion around a reference point, so
-evaluating the sum over all groups costs O(dim^2) instead of a data sweep.
-The coreset variate compresses each group to a few reweighted frequencies:
-per-frequency terms are sketched under a weighting distribution by random
-projection and the sketch of the group total is approximated greedily on the
-sphere (geodesic ascent), giving sparse non-negative weights.
+Three variates share one contract (see ``sampler.diff_estimator``).  The
+zero variate makes the difference estimator a plain scaled subsample sum.
+The Taylor variate replaces each group's log-likelihood with its
+second-order expansion around a reference point, so evaluating the sum over
+all groups costs O(dim^2) instead of a data sweep.  The coreset variate
+compresses each group to a few reweighted frequencies: per-frequency terms
+are sketched under a weighting distribution by random projection and the
+sketch of the group total is approximated greedily on the sphere (geodesic
+ascent), giving sparse non-negative weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -36,6 +39,20 @@ def make_groups(n_freq: int, n_groups: int) -> GroupIndex:
 
 
 @dataclass(frozen=True)
+class ZeroCV:
+    """The variate that is zero everywhere: no set-up, nothing to evaluate."""
+
+    eval_cost: ClassVar[int] = 0
+    setup_evals: ClassVar[int] = 0
+
+    def group_values(self, data, theta, u) -> np.ndarray:
+        return np.zeros(len(u))
+
+    def total(self, data, theta) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
 class TaylorCV:
     """Per-group quadratic surrogates a_k + b_k . delta + delta . H_k delta / 2."""
 
@@ -53,13 +70,9 @@ class TaylorCV:
         object.__setattr__(self, "_total_grad", self.grads.sum(axis=0))
         object.__setattr__(self, "_total_hess", self.hessians.sum(axis=0))
 
-    @property
-    def n_groups(self) -> int:
-        return self.values.size
-
     # Aggregate evaluation never touches the data, so it adds nothing to the
     # density-evaluation count.
-    eval_cost: int = 0
+    eval_cost: ClassVar[int] = 0
 
     def group_values(self, data, theta, u) -> np.ndarray:
         delta = np.asarray(theta, dtype=float) - self.theta_star
@@ -88,16 +101,6 @@ def build_taylor_cv(data, g: GroupIndex, theta_star) -> TaylorCV:
         hessians=hessians,
         setup_evals=g.n_freq,
     )
-
-
-def eval_taylor_cv(cv: TaylorCV, theta, k: int) -> float:
-    """Quadratic surrogate of group ``k`` at ``theta``."""
-    return float(cv.group_values(None, theta, np.array([k]))[0])
-
-
-def eval_taylor_cv_total(cv: TaylorCV, theta) -> float:
-    """Sum of all group surrogates, via the precomputed aggregates."""
-    return cv.total(None, theta)
 
 
 @dataclass(frozen=True)
@@ -317,10 +320,6 @@ class CoresetCV:
         object.__setattr__(self, "_all_w", all_w)
 
     @property
-    def n_groups(self) -> int:
-        return self.constants.size
-
-    @property
     def eval_cost(self) -> int:
         # Evaluating the sum over groups touches every retained frequency.
         return int(self._offsets[-1])
@@ -386,13 +385,3 @@ def build_coreset_cv(
         max_nonzeros=m_iter,
         setup_evals=m_iter * g.n_freq,
     )
-
-
-def eval_coreset_cv(cv: CoresetCV, data, theta, k: int) -> float:
-    """Surrogate of group ``k`` at ``theta``."""
-    return float(cv.group_values(data, theta, np.array([k]))[0])
-
-
-def eval_coreset_cv_total(cv: CoresetCV, data, theta) -> float:
-    """Sum of all group surrogates in one pass over retained frequencies."""
-    return cv.total(data, theta)

@@ -102,10 +102,16 @@ def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> 
     """Difference estimator over the sampled groups.
 
     ell_hat = sum_k q_k(theta) + (n_groups / m) * sum_i (ell_{u_i} - q_{u_i})
-    with q from the control variate (identically zero when ``cv`` is None),
-    and sigma2_hat = n_groups^2 * var(differences) / m.  Charges one density
-    evaluation per sampled frequency plus the control variate's own
-    evaluation cost.
+    and sigma2_hat = n_groups^2 * var(differences) / m.  The control variate
+    q is any object with ``group_values(data, theta, u)`` (q at the picked
+    groups), ``total(data, theta)`` (q summed over all groups), ``eval_cost``
+    (density evaluations charged per estimate) and ``setup_evals``
+    (evaluations spent building it); ``ZeroCV`` gives the plain subsample
+    estimator.
+    Charges one density evaluation per sampled frequency plus ``eval_cost``.
+
+    Differences too large to square give sigma2_hat = +inf, which debiases
+    to a log target of -inf, so the chain rejects such a proposal.
     """
     if sub.m < 2:
         raise ValueError("need m >= 2 so the variance is estimable")
@@ -115,21 +121,14 @@ def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> 
     terms = data.terms(theta, indices)
     bounds = np.cumsum([0] + [idx.size for idx in members])
     ell_groups = np.add.reduceat(terms, bounds[:-1])
-    if cv is None:
-        q_groups = np.zeros(sub.m)
-        q_total = 0.0
-        extra = 0
-    else:
-        q_groups = cv.group_values(data, theta, sub.u)
-        q_total = cv.total(data, theta)
-        extra = cv.eval_cost
-    diffs = ell_groups - q_groups
-    ell_hat = q_total + g.n_groups * float(diffs.mean())
-    sigma2_hat = g.n_groups**2 * float(diffs.var(ddof=1)) / sub.m
+    diffs = ell_groups - cv.group_values(data, theta, sub.u)
+    ell_hat = cv.total(data, theta) + g.n_groups * float(diffs.mean())
+    with np.errstate(over="ignore"):
+        var = float(diffs.var(ddof=1))
     return LogLikEstimate(
         ell_hat=ell_hat,
-        sigma2_hat=sigma2_hat,
-        density_evals=int(indices.size) + extra,
+        sigma2_hat=g.n_groups**2 * var / sub.m,
+        density_evals=int(indices.size) + cv.eval_cost,
     )
 
 
@@ -300,7 +299,7 @@ def run_pm_chain(
     theta = mode.theta.copy()
     estimate = diff_estimator(data, g, cv, theta, sub)
     log_pri = log_prior_fn(theta)
-    evals = estimate.density_evals + (cv.setup_evals if cv is not None else 0)
+    evals = estimate.density_evals + cv.setup_evals
 
     total = settings.burn_in + settings.iterations
     draws = np.empty((settings.iterations, dim))

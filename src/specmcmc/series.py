@@ -41,13 +41,18 @@ class TimeSeries:
         return self.values.size
 
 
+class SeriesFileError(ValueError):
+    """A series file whose contents cannot be read as a series."""
+
+
 def load_series(path: str | Path, column: int = 0) -> TimeSeries:
     """Read a series from a text file, one record per line.
 
     Lines starting with ``#`` and blank lines are skipped.  Records may be a
     single number or a comma/whitespace delimited row, in which case
     ``column`` selects the field.  Parse failures report the 1-based line
-    number of the offending record.
+    number of the offending record; every content failure is a
+    ``SeriesFileError``.
     """
     values = []
     with open(path) as handle:
@@ -57,18 +62,20 @@ def load_series(path: str | Path, column: int = 0) -> TimeSeries:
                 continue
             fields = [f for f in (line.split(",") if "," in line else line.split()) if f.strip()]
             if column >= len(fields):
-                raise ValueError(
+                raise SeriesFileError(
                     f"{path}: line {lineno}: expected at least {column + 1} columns, found {len(fields)}"
                 )
             try:
                 value = float(fields[column].strip())
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: cannot parse {fields[column]!r}") from exc
+                raise SeriesFileError(
+                    f"{path}: line {lineno}: cannot parse {fields[column]!r}"
+                ) from exc
             if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: non-finite value {value!r}")
+                raise SeriesFileError(f"{path}: line {lineno}: non-finite value {value!r}")
             values.append(value)
     if len(values) < 2:
-        raise ValueError(f"{path}: needs at least two observations, found {len(values)}")
+        raise SeriesFileError(f"{path}: needs at least two observations, found {len(values)}")
     return TimeSeries(np.array(values))
 
 

@@ -95,19 +95,9 @@ class GroupIndex:
         return np.bincount(self.membership, weights=values, minlength=self.n_groups)
 
 
-def term(data, theta, k: int) -> float:
-    """Single per-frequency log-likelihood term."""
-    return float(data.terms(theta, np.array([k]))[0])
-
-
 def full_loglik(data, theta) -> float:
     """Whittle log-likelihood, summed in ascending frequency order."""
     return float(np.sum(data.terms(theta)))
-
-
-def group_loglik(data, g: GroupIndex, theta, k: int) -> float:
-    """Log-likelihood contribution of one group."""
-    return float(np.sum(data.terms(theta, g.groups[k])))
 
 
 def group_logliks(data, g: GroupIndex, theta) -> np.ndarray:

@@ -102,7 +102,7 @@ def test_criterion_03_difference_estimator_is_unbiased():
     theta = np.array([0.1, -0.2])
     wd = sm.WeightingDistribution(theta_star, 0.05 * np.eye(2))
     variates = (
-        None,
+        sm.ZeroCV(),
         sm.build_taylor_cv(data, groups, theta_star),
         sm.build_coreset_cv(data, groups, wd, m_iter=3, n_projections=64, seed=5),
     )
@@ -245,7 +245,7 @@ def test_criterion_10_inefficiency_factor_calibration():
     for t in range(ells.size):
         sub = sm.block_refresh(sub, block, rng)
         block = (block + 1) % n_blocks
-        ells[t] = sm.diff_estimator(stub, groups, None, theta, sub).ell_hat
+        ells[t] = sm.diff_estimator(stub, groups, sm.ZeroCV(), theta, sub).ell_hat
     lag1 = np.corrcoef(ells[:-1], ells[1:])[0, 1]
     assert lag1 == pytest.approx(1.0 - 1.0 / n_blocks, abs=0.05)
 

@@ -2,6 +2,7 @@
 
 import csv
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,20 @@ def test_compare_rejects_method_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert err.count("\n") == 1
+
+
+def test_compare_rejects_different_data(tmp_path, capsys):
+    # with source = simulate the seed picks the series, so these two configs
+    # would fit their chains to different data
+    cfg_full = fit_config(tmp_path, "dd_full")
+    cfg_sub = fit_config(tmp_path, "dd_sub", method="subsample", extra="cv = taylor")
+    Path(cfg_sub).write_text(Path(cfg_sub).read_text().replace("seed = 11", "seed = 12"))
+    assert main(["compare", cfg_full, cfg_sub]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "seed" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "dd_sub").exists()
 
 
 def test_error_lines_are_single_and_categorized(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import specmcmc as sm
 from conftest import QuadraticTerms, make_quadratic_stub
@@ -21,12 +23,17 @@ def test_make_groups_reference_sizes():
     np.testing.assert_array_equal(groups.groups[0], np.arange(0, 22_000, 1_000))
 
 
-def test_make_groups_remainder_goes_to_leading_groups():
-    groups = sm.make_groups(11, 3)
-    sizes = [g.size for g in groups.groups]
-    assert sizes == [4, 4, 3]
+@given(st.integers(1, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+def test_make_groups_remainder_goes_to_leading_groups(sizes):
+    n_freq, n_groups = sizes
+    groups = sm.make_groups(n_freq, n_groups)
+    assert groups.n_groups == n_groups
     # every frequency appears exactly once
-    np.testing.assert_array_equal(np.sort(np.concatenate(groups.groups)), np.arange(11))
+    np.testing.assert_array_equal(np.sort(np.concatenate(groups.groups)), np.arange(n_freq))
+    # sizes differ by at most one and the larger groups come first
+    lengths = [g.size for g in groups.groups]
+    assert max(lengths) - min(lengths) <= 1
+    assert lengths == sorted(lengths, reverse=True)
 
 
 def test_make_groups_validation():
@@ -45,9 +52,9 @@ def test_taylor_cv_exact_on_quadratic():
     theta = theta_star + rng.normal(scale=0.5, size=3)
     # exactness on a quadratic is limited only by difference-stencil roundoff
     for k in range(6):
-        exact = sm.group_loglik(stub, groups, theta, k)
-        assert sm.eval_taylor_cv(cv, theta, k) == pytest.approx(exact, rel=1e-5, abs=1e-5)
-    assert sm.eval_taylor_cv_total(cv, theta) == pytest.approx(
+        exact = np.sum(stub.terms(theta, groups.groups[k]))
+        assert cv.group_values(stub, theta, [k])[0] == pytest.approx(exact, rel=1e-5, abs=1e-5)
+    assert cv.total(stub, theta) == pytest.approx(
         sm.full_loglik(stub, theta), rel=1e-6, abs=1e-5
     )
     assert cv.setup_evals == 30
@@ -60,8 +67,8 @@ def test_taylor_total_equals_sum_of_groups():
     groups = sm.make_groups(24, 8)
     cv = sm.build_taylor_cv(stub, groups, stub.center)
     theta = stub.center + np.array([0.3, -0.7])
-    total = sum(sm.eval_taylor_cv(cv, theta, k) for k in range(8))
-    assert sm.eval_taylor_cv_total(cv, theta) == pytest.approx(total, rel=1e-10)
+    total = sum(cv.group_values(stub, theta, [k])[0] for k in range(8))
+    assert cv.total(stub, theta) == pytest.approx(total, rel=1e-10)
 
 
 def test_laplace_weighting_matches_curvature():
@@ -209,8 +216,8 @@ def test_coreset_constant_atoms_become_constants():
     cv = sm.build_coreset_cv(flat, groups, wd, m_iter=3, n_projections=40, seed=5)
     assert cv.freq_indices[0].size == 0
     theta = stub.center + 0.3
-    exact_flat_group = sm.group_loglik(flat, groups, theta, 0)
-    assert sm.eval_coreset_cv(cv, flat, theta, 0) == pytest.approx(exact_flat_group, rel=1e-12)
+    exact_flat_group = np.sum(flat.terms(theta, groups.groups[0]))
+    assert cv.group_values(flat, theta, [0])[0] == pytest.approx(exact_flat_group, rel=1e-12)
     for k in range(1, 4):
         assert not np.any(cv.freq_indices[k] % 4 == 0)
 
@@ -222,8 +229,8 @@ def test_coreset_total_is_sum_of_groups():
     wd = sm.WeightingDistribution(stub.center, 0.05 * np.eye(2))
     cv = sm.build_coreset_cv(stub, groups, wd, m_iter=5, n_projections=60, seed=1)
     theta = stub.center + 0.1
-    total = sum(sm.eval_coreset_cv(cv, stub, theta, k) for k in range(8))
-    assert sm.eval_coreset_cv_total(cv, stub, theta) == pytest.approx(total, rel=1e-10)
+    total = sum(cv.group_values(stub, theta, [k])[0] for k in range(8))
+    assert cv.total(stub, theta) == pytest.approx(total, rel=1e-10)
     assert cv.eval_cost == sum(w.size for w in cv.weights)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmcmc as sm
 from conftest import specs_with_vectors
@@ -48,12 +49,16 @@ def test_pacf_to_ar_worked_examples():
     assert sm.pacf_to_ar([]).size == 0
 
 
-def test_pacf_round_trip():
-    rng = np.random.default_rng(2)
-    for size in (1, 2, 5):
-        for _ in range(50):
-            pacf = rng.uniform(-0.98, 0.98, size=size)
-            np.testing.assert_allclose(sm.ar_to_pacf(sm.pacf_to_ar(pacf)), pacf, atol=1e-12)
+@given(st.lists(st.floats(-0.98, 0.98), min_size=1, max_size=5))
+def test_pacf_round_trip(pacf):
+    # each Durbin-Levinson step divides by 1 - r^2, so the rounding error of
+    # the round trip grows with the product of those factors (up to 5.5e-15
+    # times it on a grid of corners; 4.5e-9 at five entries of 0.98)
+    pacf = np.array(pacf)
+    conditioning = np.prod(1.0 / (1.0 - pacf**2))
+    np.testing.assert_allclose(
+        sm.ar_to_pacf(sm.pacf_to_ar(pacf)), pacf, atol=1e-13 * conditioning
+    )
 
 
 def test_ar_image_is_stationary():

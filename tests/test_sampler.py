@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmcmc as sm
 from conftest import make_quadratic_stub
@@ -73,7 +75,7 @@ def stub_and_groups():
 def all_cvs(stub, groups):
     wd = sm.WeightingDistribution(stub.center, 0.05 * np.eye(stub.dim))
     return (
-        None,
+        sm.ZeroCV(),
         sm.build_taylor_cv(stub, groups, stub.center),
         sm.build_coreset_cv(stub, groups, wd, m_iter=3, n_projections=50, seed=7),
     )
@@ -89,28 +91,34 @@ def test_diff_estimator_exact_when_every_group_sampled_once(stub_and_groups):
         assert est.ell_hat == pytest.approx(full, rel=1e-10)
 
 
-def test_diff_estimator_unbiased_over_all_subsamples(stub_and_groups):
-    # with 6 groups and m = 2 there are 36 equally likely index vectors;
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 30))
+def test_diff_estimator_unbiased_over_all_subsamples(seed, n_groups, extra_terms):
+    # with G groups and m = 2 there are G^2 equally likely index vectors;
     # averaging ell_hat over all of them must return the full log-likelihood
     # exactly, whatever control variate is plugged in
-    stub, groups = stub_and_groups
+    stub = make_quadratic_stub(np.random.default_rng(seed), n_terms=n_groups + extra_terms, dim=2)
+    groups = sm.make_groups(stub.n_freq, n_groups)
     theta = stub.center + np.array([-0.3, 0.1])
     full = sm.full_loglik(stub, theta)
+    # the terms can cancel to a sum near zero, so rounding is measured
+    # against the sum of their magnitudes
+    scale = np.abs(stub.terms(theta)).sum()
     for cv in all_cvs(stub, groups):
         estimates = [
-            sm.diff_estimator(stub, groups, cv, theta, make_sub([i, j], 1, 6)).ell_hat
-            for i in range(6)
-            for j in range(6)
+            sm.diff_estimator(stub, groups, cv, theta, make_sub([i, j], 1, n_groups)).ell_hat
+            for i in range(n_groups)
+            for j in range(n_groups)
         ]
-        assert np.mean(estimates) == pytest.approx(full, rel=1e-10)
+        assert np.mean(estimates) == pytest.approx(full, rel=1e-10, abs=1e-10 * scale)
 
 
 def test_diff_estimator_variance_hand_check(stub_and_groups):
     stub, groups = stub_and_groups
     theta = stub.center + 0.25
     sub = make_sub([0, 4, 2], 1, 6)
-    est = sm.diff_estimator(stub, groups, None, theta, sub)
-    ells = np.array([sm.group_loglik(stub, groups, theta, k) for k in (0, 4, 2)])
+    est = sm.diff_estimator(stub, groups, sm.ZeroCV(), theta, sub)
+    ells = np.array([np.sum(stub.terms(theta, groups.groups[k])) for k in (0, 4, 2)])
     assert est.ell_hat == pytest.approx(6 * ells.mean(), rel=1e-12)
     assert est.sigma2_hat == pytest.approx(36 * ells.var(ddof=1) / 3, rel=1e-12)
 
@@ -118,7 +126,7 @@ def test_diff_estimator_variance_hand_check(stub_and_groups):
 def test_diff_estimator_needs_two_picks(stub_and_groups):
     stub, groups = stub_and_groups
     with pytest.raises(ValueError):
-        sm.diff_estimator(stub, groups, None, stub.center, make_sub([0], 1, 6))
+        sm.diff_estimator(stub, groups, sm.ZeroCV(), stub.center, make_sub([0], 1, 6))
 
 
 def test_diff_estimator_eval_accounting(stub_and_groups):
@@ -127,8 +135,7 @@ def test_diff_estimator_eval_accounting(stub_and_groups):
     sampled = sum(groups.groups[k].size for k in (1, 1, 5))
     for cv in all_cvs(stub, groups):
         est = sm.diff_estimator(stub, groups, cv, stub.center, sub)
-        extra = 0 if cv is None else cv.eval_cost
-        assert est.density_evals == sampled + extra
+        assert est.density_evals == sampled + cv.eval_cost
 
 
 def test_find_mode_white_noise_closed_form():
@@ -222,8 +229,8 @@ def test_pm_chain_reproducible(stub_and_groups):
     stub, groups = stub_and_groups
     mode = quad_mode(stub)
     settings = sm.ChainSettings(iterations=300, burn_in=50, seed=2, m=4, n_blocks=2)
-    a = sm.run_pm_chain(stub, groups, None, lambda v: 0.0, settings, mode)
-    b = sm.run_pm_chain(stub, groups, None, lambda v: 0.0, settings, mode)
+    a = sm.run_pm_chain(stub, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
+    b = sm.run_pm_chain(stub, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     np.testing.assert_array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
 
@@ -232,7 +239,7 @@ def test_pm_chain_allows_more_blocks_than_picks(stub_and_groups):
     stub, groups = stub_and_groups
     mode = quad_mode(stub)
     settings = sm.ChainSettings(iterations=200, burn_in=20, seed=6, m=2, n_blocks=7)
-    out = sm.run_pm_chain(stub, groups, None, lambda v: 0.0, settings, mode)
+    out = sm.run_pm_chain(stub, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     assert out.draws.shape == (200, stub.dim)
     assert np.isfinite(out.loglik_trace).all()
 
@@ -243,7 +250,7 @@ def test_pm_chain_eval_accounting(stub_and_groups):
     group_size = groups.groups[0].size
     settings = sm.ChainSettings(iterations=30, burn_in=10, seed=1, m=3, n_blocks=1)
 
-    plain = sm.run_pm_chain(stub, groups, None, lambda v: 0.0, settings, mode)
+    plain = sm.run_pm_chain(stub, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     assert plain.density_evals == (1 + 40) * 3 * group_size
 
     taylor = sm.build_taylor_cv(stub, groups, mode.theta)
@@ -312,7 +319,7 @@ def test_chains_reject_out_of_range_proposals():
     assert full.density_evals == data.n_freq * (1 + 200 - inf_data.out_of_range)
 
     groups = sm.make_groups(data.n_freq, 8)
-    pm = sm.run_pm_chain(data, groups, None, lambda v: 0.0, settings, mode)
-    again = sm.run_pm_chain(data, groups, None, lambda v: 0.0, settings, mode)
+    pm = sm.run_pm_chain(data, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
+    again = sm.run_pm_chain(data, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     np.testing.assert_array_equal(pm.draws, again.draws)
     assert np.all(np.abs(pm.draws) < 709.0) and np.all(np.isfinite(pm.loglik_trace))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import specmcmc as sm
+from specmcmc.series import SeriesFileError
 
 # Lag-0 autocovariance of ARMA(2,1), phi = (0.22, -0.1), theta = 0.5,
 # sigma2 = 1, from a direct-recursion simulation of 1e6 points (seed
@@ -28,17 +29,20 @@ def test_load_series_selects_column(tmp_path):
 def test_load_series_reports_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0\n2.0\nnot_a_number\n")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(SeriesFileError, match="line 3"):
         sm.load_series(path)
     path.write_text("1.0\n2.0,3.0\n")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(SeriesFileError, match="line 1"):
         sm.load_series(path, column=1)
+    path.write_text("1.0\ninf\n")
+    with pytest.raises(SeriesFileError, match="line 2"):
+        sm.load_series(path)
 
 
 def test_load_series_rejects_single_observation(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("# only one\n42.0\n")
-    with pytest.raises(ValueError, match="two observations"):
+    with pytest.raises(SeriesFileError, match="two observations"):
         sm.load_series(path)
 
 

@@ -23,7 +23,7 @@ def test_term_matches_hand_computation():
     k = 5
     f = sm.spectral_density(data.model, nat, data.periodogram.grid.omegas[k])
     expected = -(math.log(f) + data.periodogram.ordinates[k] / f)
-    assert sm.term(data, theta, k) == pytest.approx(expected, rel=1e-12)
+    assert data.terms(theta, [k])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_full_loglik_white_noise_closed_form():
@@ -37,7 +37,7 @@ def test_full_loglik_white_noise_closed_form():
 def test_full_loglik_is_sum_of_terms():
     data = small_data()
     theta = np.array([-0.3, 0.4])
-    total = sum(sm.term(data, theta, k) for k in range(data.n_freq))
+    total = sum(data.terms(theta, [k])[0] for k in range(data.n_freq))
     assert sm.full_loglik(data, theta) == pytest.approx(total, rel=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_group_logliks_add_up():
         parts = sm.group_logliks(data, groups, theta)
         assert parts.size == n_groups
         assert parts.sum() == pytest.approx(sm.full_loglik(data, theta), rel=1e-12)
-        single = sm.group_loglik(data, groups, theta, 3 % n_groups)
+        single = np.sum(data.terms(theta, groups.groups[3 % n_groups]))
         assert single == pytest.approx(parts[3 % n_groups], rel=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_grad_hess_white_noise_analytic_gradient():
         idx = groups.groups[k]
         expected_grad = np.sum(-1.0 + scale * ordinates[idx])
         expected_hess = np.sum(-scale * ordinates[idx])
-        assert values[k] == pytest.approx(sm.group_loglik(data, groups, theta_star, k), rel=1e-12)
+        assert values[k] == pytest.approx(np.sum(data.terms(theta_star, idx)), rel=1e-12)
         assert grads[k, 0] == pytest.approx(expected_grad, rel=1e-6)
         assert hessians[k, 0, 0] == pytest.approx(expected_hess, rel=1e-4)
 
