@@ -69,7 +69,6 @@ from .whittle import (
     GroupIndex,
     WhittleData,
     fd_gradient,
-    fd_hessian,
     full_loglik,
     grad_hess,
     group_logliks,

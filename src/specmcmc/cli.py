@@ -237,19 +237,31 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_draws(path: Path, output: sampler.ChainOutput) -> None:
-    rows = ([_fmt(v) for v in row] for row in output.draws)
-    _write_csv(path, output.param_names, rows)
+def _write_efficiency(path: Path, report: diagnostics.EfficiencyReport, rct) -> None:
+    _write_csv(
+        path,
+        ["parameter", "IF", "density_evals", "CT", "RCT"],
+        (
+            [name, _fmt(iv), str(report.density_evals), _fmt(ct), _fmt(r)]
+            for name, iv, ct, r in zip(report.param_names, report.if_values, report.ct, rct)
+        ),
+    )
 
 
-def _run_configured_chain(config: ExperimentConfig):
-    """Shared fit pipeline: data, mode, control variate, one chain."""
-    data_series = _load_data(config)
-    pgram = spectral.periodogram(data_series)
+def _prepare(config: ExperimentConfig):
+    """Data, log prior and posterior mode: all a chain needs besides its settings.
+
+    ``compare`` prepares once and runs both of its chains on the result.
+    """
+    pgram = spectral.periodogram(_load_data(config))
     data = whittle.WhittleData(periodogram=pgram, model=config.model)
     log_prior_fn = lambda v: models.log_prior(config.model, v)
-
     mode = sampler.find_mode(data, log_prior_fn, np.zeros(config.model.n_params))
+    return data, log_prior_fn, mode
+
+
+def _run_chain(config: ExperimentConfig, data, log_prior_fn, mode) -> sampler.ChainOutput:
+    """The configured control variate, if any, and one chain."""
     settings = sampler.ChainSettings(
         iterations=config.iterations,
         burn_in=config.burn_in,
@@ -259,26 +271,23 @@ def _run_configured_chain(config: ExperimentConfig):
         proposal_scale=config.proposal_scale,
     )
     if config.method == "full":
-        output = sampler.run_full_chain(data, log_prior_fn, settings, mode)
-        groups = None
+        return sampler.run_full_chain(data, log_prior_fn, settings, mode)
+    groups = cvs.make_groups(data.n_freq, config.group_count)
+    if config.cv == "none":
+        variate = cvs.ZeroCV()
+    elif config.cv == "taylor":
+        variate = cvs.build_taylor_cv(data, groups, mode.theta)
     else:
-        groups = cvs.make_groups(data.n_freq, config.group_count)
-        if config.cv == "none":
-            variate = cvs.ZeroCV()
-        elif config.cv == "taylor":
-            variate = cvs.build_taylor_cv(data, groups, mode.theta)
-        else:
-            weighting = cvs.laplace_weighting(mode.theta, mode.hessian)
-            variate = cvs.build_coreset_cv(
-                data,
-                groups,
-                weighting,
-                config.coreset_size,
-                config.projections,
-                seed=config.component_seed(2),
-            )
-        output = sampler.run_pm_chain(data, groups, variate, log_prior_fn, settings, mode)
-    return data, mode, output
+        weighting = cvs.laplace_weighting(mode.theta, mode.hessian)
+        variate = cvs.build_coreset_cv(
+            data,
+            groups,
+            weighting,
+            config.coreset_size,
+            config.projections,
+            seed=config.component_seed(2),
+        )
+    return sampler.run_pm_chain(data, groups, variate, log_prior_fn, settings, mode)
 
 
 def _summary_lines(config: ExperimentConfig, data, mode, output) -> list[str]:
@@ -337,9 +346,11 @@ def cmd_periodogram(input_path: str, output_path: str, column: int = 0) -> None:
 def cmd_fit(config_path: str) -> None:
     config = load_config(config_path)
     out = _ensure_outdir(config)
-    data, mode, output = _run_configured_chain(config)
+    data, log_prior_fn, mode = _prepare(config)
+    output = _run_chain(config, data, log_prior_fn, mode)
 
-    _write_draws(out / "draws.csv", output)
+    rows = ([_fmt(v) for v in row] for row in output.draws)
+    _write_csv(out / "draws.csv", output.param_names, rows)
     (out / "summary.txt").write_text("\n".join(_summary_lines(config, data, mode, output)) + "\n")
     for j, name in enumerate(output.param_names):
         grid, density = diagnostics.kde_grid(output.draws[:, j])
@@ -385,31 +396,17 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
         )
     out = _ensure_outdir(config_sub)
 
-    _, _, out_full = _run_configured_chain(config_full)
-    _, _, out_sub = _run_configured_chain(config_sub)
+    # the configs fit the same data and model, so one preparation serves both
+    prepared = _prepare(config_full)
+    out_full = _run_chain(config_full, *prepared)
+    out_sub = _run_chain(config_sub, *prepared)
 
     report_full = diagnostics.efficiency_report(out_full)
     report_sub = diagnostics.efficiency_report(out_sub)
     rct = diagnostics.relative_ct(report_sub, report_full)
 
-    _write_csv(
-        out / "efficiency.csv",
-        ["parameter", "IF", "density_evals", "CT", "RCT"],
-        (
-            [name, _fmt(iv), str(report_sub.density_evals), _fmt(ct), _fmt(r)]
-            for name, iv, ct, r in zip(
-                report_sub.param_names, report_sub.if_values, report_sub.ct, rct
-            )
-        ),
-    )
-    _write_csv(
-        out / "efficiency_baseline.csv",
-        ["parameter", "IF", "density_evals", "CT", "RCT"],
-        (
-            [name, _fmt(iv), str(report_full.density_evals), _fmt(ct), _fmt(1.0)]
-            for name, iv, ct in zip(report_full.param_names, report_full.if_values, report_full.ct)
-        ),
-    )
+    _write_efficiency(out / "efficiency.csv", report_sub, rct)
+    _write_efficiency(out / "efficiency_baseline.csv", report_full, np.ones(len(rct)))
     mean_f, sd_f = out_full.draws.mean(axis=0), out_full.draws.std(axis=0, ddof=1)
     mean_s, sd_s = out_sub.draws.mean(axis=0), out_sub.draws.std(axis=0, ddof=1)
     _write_csv(

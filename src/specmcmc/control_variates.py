@@ -20,6 +20,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .models import ParameterRangeError
 from .whittle import GroupIndex, grad_hess
 
 
@@ -177,28 +178,33 @@ def project_group(
 ) -> GroupProjection:
     """Sketch the terms of one frequency group under the weighting measure.
 
-    Draws with non-finite terms (numerical overflow deep in a tail) are
-    redrawn up to ``max_rounds`` times before giving up.  Deterministic for a
+    Draws outside the model's range (``ParameterRangeError``), or with a
+    term that is non-finite or too large for the sum over draws to stay
+    finite (numerical overflow deep in a tail), are redrawn, in up to
+    ``max_rounds`` further rounds before giving up.  Deterministic for a
     given seed.
     """
     if n_projections < 2:
         raise ValueError("need at least two projections to center")
     indices = np.asarray(indices, dtype=np.intp)
     rng = np.random.default_rng(seed)
-    thetas = wd.sample(rng, n_projections)
+    limit = np.finfo(float).max / n_projections
     table = np.empty((indices.size, n_projections))
-    for j in range(n_projections):
-        table[:, j] = data.terms(thetas[j], indices)
-    bad = ~np.all(np.isfinite(table), axis=0)
-    rounds = 0
-    while np.any(bad):
-        rounds += 1
-        if rounds > max_rounds:
-            raise ValueError("weighting draws kept producing non-finite terms")
-        redraw = wd.sample(rng, int(bad.sum()))
-        for slot, theta in zip(np.flatnonzero(bad), redraw):
-            table[:, slot] = data.terms(theta, indices)
-        bad = ~np.all(np.isfinite(table), axis=0)
+    bad = np.ones(n_projections, dtype=bool)
+    for _ in range(max_rounds + 1):
+        # a draw whose arithmetic overflows is redrawn, so the
+        # floating-point warnings carry nothing
+        with np.errstate(all="ignore"):
+            for slot, theta in zip(np.flatnonzero(bad), wd.sample(rng, int(bad.sum()))):
+                try:
+                    table[:, slot] = data.terms(theta, indices)
+                except ParameterRangeError:
+                    table[:, slot] = np.nan
+        bad = ~np.all(np.abs(table) < limit, axis=0)
+        if not bad.any():
+            break
+    else:
+        raise ValueError("weighting draws kept producing non-finite terms")
     means = table.mean(axis=1)
     vectors = (table - means[:, None]) / math.sqrt(n_projections)
     return GroupProjection(vectors=vectors, target=vectors.sum(axis=0), means=means)
@@ -309,20 +315,13 @@ class CoresetCV:
                 raise ValueError("per-group weight count exceeds the iteration budget")
             if np.any(w < 0):
                 raise ValueError("coreset weights must be non-negative")
-        lengths = np.array([idx.size for idx in self.freq_indices], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        all_idx = (
-            np.concatenate(self.freq_indices) if offsets[-1] else np.empty(0, dtype=np.intp)
-        )
-        all_w = np.concatenate(self.weights) if offsets[-1] else np.empty(0)
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_all_idx", all_idx)
-        object.__setattr__(self, "_all_w", all_w)
+        object.__setattr__(self, "_all_idx", np.concatenate(self.freq_indices))
+        object.__setattr__(self, "_all_w", np.concatenate(self.weights))
 
     @property
     def eval_cost(self) -> int:
         # Evaluating the sum over groups touches every retained frequency.
-        return int(self._offsets[-1])
+        return int(self._all_idx.size)
 
     def group_values(self, data, theta, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.intp)

@@ -1,4 +1,4 @@
-"""Posterior mode, subsampled likelihood estimator, and Metropolis chains.
+"""Posterior mode, subsampled likelihood estimator, and one Metropolis loop.
 
 The pseudo-marginal chain targets an extended posterior over (theta, u) where
 u picks m frequency groups with replacement.  A debiased difference estimator
@@ -7,6 +7,9 @@ is refreshed per iteration jointly with the parameter proposal, which keeps
 successive estimates correlated and the acceptance rate healthy even when a
 single estimate is noisy.
 
+There is one accept/reject loop.  The full-data chain is its exact,
+zero-variance case: the estimate is the full log-likelihood with
+sigma2_hat = 0, which debiasing leaves unchanged, and there are no indicators.
 Both chains draw proposal increments and acceptance uniforms from one stream
 and subsample indices from a second stream spawned off the same seed, so a
 full-data run and a subsampled run with the same seed see identical proposal
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .models import ParameterRangeError
-from .whittle import GroupIndex, fd_gradient, fd_hessian, full_loglik, group_logliks
+from .whittle import GroupIndex, fd_gradient, full_loglik, taylor_coefficients
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ class ModeResult:
 def find_mode(data, log_prior_fn, theta0, max_iter: int = 1000) -> ModeResult:
     """Maximize the log posterior by quasi-Newton ascent.
 
-    Gradients fed to the optimizer and the final curvature are central
-    differences.  Exits only if the gradient norm is below
+    Gradients fed to the optimizer are central differences; the value,
+    gradient and curvature at the optimum come from one central-difference
+    stencil (``taylor_coefficients``).  Exits only if the gradient norm is below
     1e-5 * (1 + |log posterior|); a curvature that is not negative definite
     at the optimum is an error rather than something to patch over.
     """
@@ -166,11 +170,10 @@ def find_mode(data, log_prior_fn, theta0, max_iter: int = 1000) -> ModeResult:
         options={"gtol": 1e-9, "maxiter": max_iter},
     )
     mode = np.asarray(result.x, dtype=float)
-    value = log_post(mode)
-    grad_norm = float(np.linalg.norm(fd_gradient(log_post, mode)))
+    value, grad, hessian = taylor_coefficients(log_post, mode)
+    grad_norm = float(np.linalg.norm(grad))
     if not grad_norm < 1e-5 * (1.0 + abs(value)):
         raise ValueError(f"mode search did not converge: |grad| = {grad_norm:.3e}")
-    hessian = fd_hessian(log_post, mode)
     try:
         np.linalg.cholesky(-hessian)
     except np.linalg.LinAlgError as exc:
@@ -215,61 +218,77 @@ class ChainOutput:
     param_names: tuple
 
 
-def _chain_rngs(seed) -> tuple[np.random.Generator, np.random.Generator]:
-    chain_seq, sub_seq = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(chain_seq), np.random.default_rng(sub_seq)
+def _metropolis(data, log_prior_fn, settings, mode, estimate, start, refresh, setup_evals):
+    """The one accept/reject loop; both chains are this loop with their own estimate.
 
-
-def _proposal_factor(mode: ModeResult, settings: ChainSettings) -> np.ndarray:
+    ``estimate(theta, sub)`` returns a ``LogLikEstimate``, ``start(rng_sub)``
+    draws the starting indicators and ``refresh(sub, block, rng_sub)``
+    proposes new ones; ``setup_evals`` is charged once.  Each iteration
+    proposes theta and a refresh of one indicator block jointly; rejection
+    keeps both.  The block index advances cyclically, so every indicator is
+    refreshed once per n_blocks iterations on average.
+    """
+    chain_seq, sub_seq = np.random.SeedSequence(settings.seed).spawn(2)
+    rng_chain, rng_sub = np.random.default_rng(chain_seq), np.random.default_rng(sub_seq)
     dim = mode.theta.size
     scale = settings.proposal_scale if settings.proposal_scale is not None else 2.38**2 / dim
-    return np.linalg.cholesky(scale * mode.laplace_cov)
+    factor = np.linalg.cholesky(scale * mode.laplace_cov)
 
-
-def _names(data, dim: int) -> tuple:
-    model = getattr(data, "model", None)
-    if model is not None:
-        return model.param_names()
-    return tuple(f"x{i}" for i in range(dim))
-
-
-def run_full_chain(data, log_prior_fn, settings: ChainSettings, mode: ModeResult) -> ChainOutput:
-    """Random-walk Metropolis on the exact Whittle posterior."""
-    rng_chain, _ = _chain_rngs(settings.seed)
-    factor = _proposal_factor(mode, settings)
-    dim = mode.theta.size
-
+    sub = start(rng_sub)
     theta = mode.theta.copy()
-    log_lik = full_loglik(data, theta)
+    current = estimate(theta, sub)
     log_pri = log_prior_fn(theta)
-    evals = data.n_freq
+    evals = current.density_evals + setup_evals
 
     total = settings.burn_in + settings.iterations
     draws = np.empty((settings.iterations, dim))
     trace = np.empty(settings.iterations)
     accepted = 0
+    block = 0
     for it in range(total):
         proposal = theta + factor @ rng_chain.standard_normal(dim)
+        sub_prop = refresh(sub, block, rng_sub)
+        block = (block + 1) % settings.n_blocks
         try:
-            lik_prop = full_loglik(data, proposal)
+            est_prop = estimate(proposal, sub_prop)
         except ParameterRangeError:
-            lik_prop = -math.inf
-        else:
-            evals += data.n_freq
+            est_prop = _OUT_OF_RANGE
         pri_prop = log_prior_fn(proposal)
-        log_ratio = (lik_prop + pri_prop) - (log_lik + log_pri)
+        evals += est_prop.density_evals
+        log_ratio = (debias(est_prop) + pri_prop) - (debias(current) + log_pri)
         if math.log(rng_chain.random()) < log_ratio:
-            theta, log_lik, log_pri = proposal, lik_prop, pri_prop
+            theta, sub, current, log_pri = proposal, sub_prop, est_prop, pri_prop
             accepted += 1
         if it >= settings.burn_in:
             draws[it - settings.burn_in] = theta
-            trace[it - settings.burn_in] = log_lik
+            trace[it - settings.burn_in] = current.ell_hat
+    model = getattr(data, "model", None)
+    names = model.param_names() if model is not None else tuple(f"x{i}" for i in range(dim))
     return ChainOutput(
         draws=draws,
         loglik_trace=trace,
         acceptance_rate=accepted / total,
         density_evals=evals,
-        param_names=_names(data, dim),
+        param_names=names,
+    )
+
+
+def run_full_chain(data, log_prior_fn, settings: ChainSettings, mode: ModeResult) -> ChainOutput:
+    """Random-walk Metropolis on the exact Whittle posterior.
+
+    The loop's exact, zero-variance case: every estimate is the full
+    log-likelihood with sigma2_hat = 0, which ``debias`` leaves unchanged, and
+    there are no indicators to refresh.
+    """
+    return _metropolis(
+        data,
+        log_prior_fn,
+        settings,
+        mode,
+        estimate=lambda theta, sub: LogLikEstimate(full_loglik(data, theta), 0.0, data.n_freq),
+        start=lambda rng: None,
+        refresh=lambda sub, block, rng: sub,
+        setup_evals=0,
     )
 
 
@@ -281,52 +300,18 @@ def run_pm_chain(
     settings: ChainSettings,
     mode: ModeResult,
 ) -> ChainOutput:
-    """Block pseudo-marginal Metropolis with the debiased difference estimator.
-
-    Each iteration proposes theta and a refresh of one indicator block
-    jointly; rejection keeps both.  The block index advances cyclically, so
-    every indicator is refreshed once per n_blocks iterations on average.
-    """
-    rng_chain, rng_sub = _chain_rngs(settings.seed)
-    factor = _proposal_factor(mode, settings)
-    dim = mode.theta.size
-
-    sub = SubsampleIndicators(
-        u=rng_sub.integers(0, g.n_groups, size=settings.m),
-        n_blocks=settings.n_blocks,
-        n_groups=g.n_groups,
-    )
-    theta = mode.theta.copy()
-    estimate = diff_estimator(data, g, cv, theta, sub)
-    log_pri = log_prior_fn(theta)
-    evals = estimate.density_evals + cv.setup_evals
-
-    total = settings.burn_in + settings.iterations
-    draws = np.empty((settings.iterations, dim))
-    trace = np.empty(settings.iterations)
-    accepted = 0
-    block = 0
-    for it in range(total):
-        proposal = theta + factor @ rng_chain.standard_normal(dim)
-        sub_prop = block_refresh(sub, block, rng_sub)
-        block = (block + 1) % settings.n_blocks
-        try:
-            est_prop = diff_estimator(data, g, cv, proposal, sub_prop)
-        except ParameterRangeError:
-            est_prop = _OUT_OF_RANGE
-        pri_prop = log_prior_fn(proposal)
-        evals += est_prop.density_evals
-        log_ratio = (debias(est_prop) + pri_prop) - (debias(estimate) + log_pri)
-        if math.log(rng_chain.random()) < log_ratio:
-            theta, sub, estimate, log_pri = proposal, sub_prop, est_prop, pri_prop
-            accepted += 1
-        if it >= settings.burn_in:
-            draws[it - settings.burn_in] = theta
-            trace[it - settings.burn_in] = estimate.ell_hat
-    return ChainOutput(
-        draws=draws,
-        loglik_trace=trace,
-        acceptance_rate=accepted / total,
-        density_evals=evals,
-        param_names=_names(data, dim),
+    """Block pseudo-marginal Metropolis with the debiased difference estimator."""
+    return _metropolis(
+        data,
+        log_prior_fn,
+        settings,
+        mode,
+        estimate=lambda theta, sub: diff_estimator(data, g, cv, theta, sub),
+        start=lambda rng: SubsampleIndicators(
+            u=rng.integers(0, g.n_groups, size=settings.m),
+            n_blocks=settings.n_blocks,
+            n_groups=g.n_groups,
+        ),
+        refresh=block_refresh,
+        setup_evals=cv.setup_evals,
     )

@@ -90,10 +90,6 @@ class GroupIndex:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    def group_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum per-frequency values within each group."""
-        return np.bincount(self.membership, weights=values, minlength=self.n_groups)
-
 
 def full_loglik(data, theta) -> float:
     """Whittle log-likelihood, summed in ascending frequency order."""
@@ -102,7 +98,7 @@ def full_loglik(data, theta) -> float:
 
 def group_logliks(data, g: GroupIndex, theta) -> np.ndarray:
     """All group contributions in one pass over the frequencies."""
-    return g.group_sums(data.terms(theta))
+    return np.bincount(g.membership, weights=data.terms(theta), minlength=g.n_groups)
 
 
 def fd_steps(x: np.ndarray) -> np.ndarray:
@@ -117,39 +113,40 @@ def _checked(fun, x) -> np.ndarray:
     return out
 
 
-def fd_gradient(fun, x, step=None) -> np.ndarray:
+def _axial(fun, x: np.ndarray, h: np.ndarray):
+    """Axial stencil values at x +- h_j e_j and the central-difference gradient."""
+    plus, minus = [], []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h[j]
+        plus.append(_checked(fun, x + e))
+        minus.append(_checked(fun, x - e))
+    grad = np.stack([(plus[j] - minus[j]) / (2.0 * h[j]) for j in range(x.size)], axis=-1)
+    return plus, minus, grad
+
+
+def fd_gradient(fun, x) -> np.ndarray:
     """Central-difference gradient of a scalar- or vector-valued function.
 
     For vector-valued ``fun`` the derivative axis is appended last.
     """
     x = np.asarray(x, dtype=float)
-    h = fd_steps(x) if step is None else np.broadcast_to(step, x.shape)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h[j]
-        cols.append((_checked(fun, x + e) - _checked(fun, x - e)) / (2.0 * h[j]))
-    return np.stack(cols, axis=-1)
+    return _axial(fun, x, fd_steps(x))[2]
 
 
-def taylor_coefficients(fun, x, step=None):
+def taylor_coefficients(fun, x):
     """Value, gradient, and symmetrized Hessian by central differences.
 
-    Shares the axial stencil between the gradient and the Hessian diagonal;
-    off-diagonal entries use the four-point cross stencil.  Raises if any
-    stencil evaluation is non-finite.
+    Shares the axial stencil between the gradient and the Hessian diagonal,
+    so the gradient equals ``fd_gradient`` bit for bit; off-diagonal entries
+    use the four-point cross stencil.  Raises if any stencil evaluation is
+    non-finite.
     """
     x = np.asarray(x, dtype=float)
     dim = x.size
-    h = fd_steps(x) if step is None else np.broadcast_to(step, x.shape)
+    h = fd_steps(x)
     f0 = _checked(fun, x)
-    plus, minus = [], []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h[j]
-        plus.append(_checked(fun, x + e))
-        minus.append(_checked(fun, x - e))
-    grad = np.stack([(plus[j] - minus[j]) / (2.0 * h[j]) for j in range(dim)], axis=-1)
+    plus, minus, grad = _axial(fun, x, h)
     hess = np.zeros(f0.shape + (dim, dim))
     for j in range(dim):
         hess[..., j, j] = (plus[j] - 2.0 * f0 + minus[j]) / h[j] ** 2
@@ -168,11 +165,6 @@ def taylor_coefficients(fun, x, step=None):
             hess[..., i, j] = cross
             hess[..., j, i] = cross
     return f0, grad, hess
-
-
-def fd_hessian(fun, x, step=None) -> np.ndarray:
-    """Symmetrized central-difference Hessian."""
-    return taylor_coefficients(fun, x, step=step)[2]
 
 
 def grad_hess(data, g: GroupIndex, theta_star):

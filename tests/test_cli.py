@@ -264,6 +264,23 @@ def test_compare_command(tmp_path):
         assert float(row[6]) > 0
 
 
+def test_compare_searches_for_the_mode_once(tmp_path, monkeypatch):
+    # both configs fit the same data and model, so one load and one mode
+    # search serve both chains
+    calls = []
+    find_mode = sm.sampler.find_mode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return find_mode(*args, **kwargs)
+
+    monkeypatch.setattr(sm.sampler, "find_mode", counting)
+    cfg_full = fit_config(tmp_path, "once_full")
+    cfg_sub = fit_config(tmp_path, "once_sub", method="subsample", extra="cv = taylor")
+    assert main(["compare", cfg_full, cfg_sub]) == 0
+    assert len(calls) == 1
+
+
 def test_compare_rejects_method_mismatch(tmp_path, capsys):
     cfg_full = fit_config(tmp_path, "mm_full")
     assert main(["compare", cfg_full, cfg_full]) == 1

@@ -110,6 +110,26 @@ def test_project_group_deterministic_and_centered():
     np.testing.assert_array_equal(a.target, a.vectors.sum(axis=0))
 
 
+def test_project_group_redraws_out_of_range_draws():
+    # a variance of 1e6 on log sigma2 sends about half the weighting draws
+    # past +-709, where exp leaves the float range; like draws with
+    # non-finite terms they are redrawn, not fatal
+    ts = sm.demean(sm.simulate_arma([], [], 1.0, 257, seed=5))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(0, 0))
+    wd = sm.WeightingDistribution(np.zeros(1), np.array([[1e6]]))
+    idx = np.arange(0, data.n_freq, 4)
+    # in-range draws near log sigma2 = -709 make terms overflow, which some
+    # of these seeds meet; those are redrawn too, without a warning
+    for seed in range(300):
+        proj = sm.project_group(data, idx, wd, 20, seed=seed)
+        assert np.isfinite(proj.vectors).all() and np.isfinite(proj.means).all()
+    again = sm.project_group(data, idx, wd, 20, seed=299)
+    np.testing.assert_array_equal(proj.vectors, again.vectors)
+    # without redraws the first round's out-of-range draws are an error
+    with pytest.raises(ValueError, match="non-finite"):
+        sm.project_group(data, idx, wd, 20, seed=1, max_rounds=0)
+
+
 def test_projection_norm_estimates_term_variance():
     # For white noise with parameter t = log sigma2 ~ N(0, tau2), the
     # per-frequency term is -(t - log 2pi + c exp(-t)) with c = 2 pi I_k, so

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmcmc as sm
+from specmcmc.whittle import taylor_coefficients
 from conftest import make_quadratic_stub, specs_with_vectors
 
 
@@ -104,7 +105,10 @@ def test_fd_gradient_and_hessian_scalar():
         [math.cos(0.7) * math.exp(-0.15), 0.5 * math.sin(0.7) * math.exp(-0.15)]
     )
     np.testing.assert_allclose(grad, expected, rtol=1e-8)
-    hess = sm.fd_hessian(fun, x)
+    value, stencil_grad, hess = taylor_coefficients(fun, x)
+    # find_mode reads all three at the optimum from this one stencil
+    assert value == fun(x)
+    np.testing.assert_array_equal(stencil_grad, grad)
     np.testing.assert_allclose(hess, hess.T)
     assert hess[0, 0] == pytest.approx(-math.sin(0.7) * math.exp(-0.15), rel=1e-4)
 
