@@ -61,7 +61,6 @@ from .spectral import (
     FrequencyGrid,
     Periodogram,
     dft,
-    fourier_frequencies,
     periodogram,
     save_periodogram,
 )

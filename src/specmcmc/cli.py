@@ -110,97 +110,91 @@ class ExperimentConfig:
         return int(child.generate_state(1, np.uint64)[0])
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(f) for f in text.replace(",", " ").split())
+def _floats(parser, section: str, key: str) -> tuple:
+    return tuple(float(f) for f in parser.get(section, key).replace(",", " ").split())
+
+
+def _scale(parser, section: str, key: str) -> float | None:
+    raw = parser.get(section, key).strip()
+    return float(raw) if raw else None
+
+
+_P = configparser.ConfigParser
+# Every key a config file may set, by section, with the reader of its value;
+# a key left out takes the ExperimentConfig default.
+_KEYS = {
+    "data": {
+        "source": _P.get,
+        "path": _P.get,
+        "column": _P.getint,
+        "phi": _floats,
+        "theta": _floats,
+        "sigma2": _P.getfloat,
+        "n_time": _P.getint,
+        "log_squares": _P.getboolean,
+    },
+    "model": {
+        "family": _P.get,
+        "ar_order": _P.getint,
+        "ma_order": _P.getint,
+        "sv_wrapper": _P.getboolean,
+    },
+    "sampler": {
+        "method": _P.get,
+        "cv": _P.get,
+        "group_count": _P.getint,
+        "m_percent": _P.getfloat,
+        "blocks": _P.getint,
+        "coreset_size": _P.getint,
+        "projections": _P.getint,
+        "iterations": _P.getint,
+        "burn_in": _P.getint,
+        "proposal_scale": _scale,
+        "seed": _P.getint,
+    },
+    "output": {"directory": _P.get},
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a config file; a section or key not in ``_KEYS`` is a ``ConfigError``."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
+    sections = parser.sections() + (["DEFAULT"] if parser.defaults() else [])
+    unknown = [f"section [{name}]" for name in sections if name not in _KEYS] + [
+        f"key {key} in [{name}]"
+        for name in sections
+        if name in _KEYS
+        for key in parser[name]
+        if key not in _KEYS[name]
+    ]
+    if unknown:
+        raise ConfigError(f"{path}: unknown {', '.join(unknown)}")
     try:
-        kwargs = {}
-        if parser.has_section("data"):
-            data = parser["data"]
-            kwargs.update(
-                source=data.get("source", "file"),
-                path=data.get("path", None),
-                column=data.getint("column", 0),
-                phi=_floats(data.get("phi", "")),
-                theta=_floats(data.get("theta", "")),
-                sigma2=data.getfloat("sigma2", 1.0),
-                n_time=data.getint("n_time", 0),
-                log_squares=data.getboolean("log_squares", False),
-            )
-        if parser.has_section("model"):
-            model = parser["model"]
-            kwargs.update(
-                family=model.get("family", "arma"),
-                ar_order=model.getint("ar_order", 0),
-                ma_order=model.getint("ma_order", 0),
-                sv_wrapper=model.getboolean("sv_wrapper", False),
-            )
-        if parser.has_section("sampler"):
-            samp = parser["sampler"]
-            kwargs.update(
-                method=samp.get("method", "full"),
-                cv=samp.get("cv", "none"),
-                group_count=samp.getint("group_count", 100),
-                m_percent=samp.getfloat("m_percent", 1.0),
-                blocks=samp.getint("blocks", 10),
-                coreset_size=samp.getint("coreset_size", 200),
-                projections=samp.getint("projections", 500),
-                iterations=samp.getint("iterations", 50_000),
-                burn_in=samp.getint("burn_in", 5_000),
-                seed=samp.getint("seed", 0),
-            )
-            raw_scale = samp.get("proposal_scale", "").strip()
-            kwargs["proposal_scale"] = float(raw_scale) if raw_scale else None
-        if parser.has_section("output"):
-            kwargs["directory"] = parser["output"].get("directory", "out")
+        kwargs = {
+            key: _KEYS[name][key](parser, name, key) for name in sections for key in parser[name]
+        }
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
     return ExperimentConfig(**kwargs)
+
+
+def _text(value) -> str:
+    """A config value as load_config reads it back."""
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     """Write a config back out; load_config(save_config(c)) == c."""
     parser = configparser.ConfigParser()
-    parser["data"] = {
-        "source": config.source,
-        "column": str(config.column),
-        "phi": " ".join(repr(v) for v in config.phi),
-        "theta": " ".join(repr(v) for v in config.theta),
-        "sigma2": repr(config.sigma2),
-        "n_time": str(config.n_time),
-        "log_squares": str(config.log_squares).lower(),
-    }
-    if config.path is not None:
-        parser["data"]["path"] = config.path
-    parser["model"] = {
-        "family": config.family,
-        "ar_order": str(config.ar_order),
-        "ma_order": str(config.ma_order),
-        "sv_wrapper": str(config.sv_wrapper).lower(),
-    }
-    parser["sampler"] = {
-        "method": config.method,
-        "cv": config.cv,
-        "group_count": str(config.group_count),
-        "m_percent": repr(config.m_percent),
-        "blocks": str(config.blocks),
-        "coreset_size": str(config.coreset_size),
-        "projections": str(config.projections),
-        "iterations": str(config.iterations),
-        "burn_in": str(config.burn_in),
-        "seed": str(config.seed),
-    }
-    if config.proposal_scale is not None:
-        parser["sampler"]["proposal_scale"] = repr(config.proposal_scale)
-    parser["output"] = {"directory": config.directory}
+    for section, keys in _KEYS.items():
+        values = {key: getattr(config, key) for key in keys}
+        parser[section] = {key: _text(v) for key, v in values.items() if v is not None}
     with open(path, "w") as handle:
         parser.write(handle)
 
@@ -348,29 +342,27 @@ def cmd_fit(config_path: str) -> None:
     out = _ensure_outdir(config)
     data, log_prior_fn, mode = _prepare(config)
     output = _run_chain(config, data, log_prior_fn, mode)
-
-    rows = ([_fmt(v) for v in row] for row in output.draws)
-    _write_csv(out / "draws.csv", output.param_names, rows)
-    (out / "summary.txt").write_text("\n".join(_summary_lines(config, data, mode, output)) + "\n")
-    for j, name in enumerate(output.param_names):
-        grid, density = diagnostics.kde_grid(output.draws[:, j])
-        _write_csv(
-            out / f"kde_{name}.csv",
-            ["value", "density"],
-            ([_fmt(a), _fmt(b)] for a, b in zip(grid, density)),
-        )
+    # every output is computed before the first file is written, so a fit
+    # that fails on the way leaves no files
+    summary = "\n".join(_summary_lines(config, data, mode, output)) + "\n"
+    curves = {
+        f"kde_{name}.csv": (["value", "density"], *diagnostics.kde_grid(column))
+        for name, column in zip(output.param_names, output.draws.T)
+    }
     log_spec = diagnostics.posterior_mean_spectrum(
         _thinned(output.draws), config.model, data.periodogram.grid
     )
-    _write_csv(
-        out / "spectrum.csv",
-        ["omega", "mean_log_density"],
-        ([_fmt(a), _fmt(b)] for a, b in zip(data.periodogram.grid.omegas, log_spec)),
-    )
+    curves["spectrum.csv"] = (["omega", "mean_log_density"], data.periodogram.grid.omegas, log_spec)
+
+    rows = ([_fmt(v) for v in row] for row in output.draws)
+    _write_csv(out / "draws.csv", output.param_names, rows)
+    (out / "summary.txt").write_text(summary)
+    for filename, (header, xs, ys) in curves.items():
+        _write_csv(out / filename, header, ([_fmt(a), _fmt(b)] for a, b in zip(xs, ys)))
     print(f"wrote artifacts to {out}")
 
 
-_DATA_FIELDS = ("source", "path", "column", "phi", "theta", "sigma2", "n_time", "log_squares")
+_DATA_FIELDS = tuple(_KEYS["data"])
 
 
 def _fit_target(config: ExperimentConfig) -> dict:

@@ -25,18 +25,11 @@ from .whittle import GroupIndex, grad_hess
 
 
 def make_groups(n_freq: int, n_groups: int) -> GroupIndex:
-    """Strided partition: group k gets frequencies k, k + n_groups, ...
+    """The strided partition of ``n_freq`` frequencies into ``n_groups`` groups.
 
-    Every group then spans the whole frequency range, which is what makes a
-    group total smooth in the parameters.  When n_groups does not divide
-    n_freq the leftover frequencies land one each in the leading groups.
+    See ``whittle.GroupIndex`` for the layout and the range check.
     """
-    if not 1 <= n_groups <= n_freq:
-        raise ValueError("need 1 <= n_groups <= n_freq")
-    return GroupIndex(
-        groups=tuple(np.arange(k, n_freq, n_groups) for k in range(n_groups)),
-        n_freq=n_freq,
-    )
+    return GroupIndex(n_freq, n_groups)
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,8 @@ class LogLikEstimate:
     density_evals: int
 
     def __post_init__(self) -> None:
-        if self.sigma2_hat < 0:
-            raise ValueError("variance estimate cannot be negative")
+        if not self.sigma2_hat >= 0:
+            raise ValueError("variance estimate must be non-negative, not NaN")
 
 
 # Stands in for the estimate at a proposal outside the model's range: log
@@ -113,25 +113,26 @@ def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> 
     estimator.
     Charges one density evaluation per sampled frequency plus ``eval_cost``.
 
-    Differences too large to square give sigma2_hat = +inf, which debiases
-    to a log target of -inf, so the chain rejects such a proposal.
+    A difference that is not finite, or differences too large to square,
+    give ell_hat = -inf and sigma2_hat = +inf: a log target of -inf, so the
+    chain rejects such a proposal.
     """
     if sub.m < 2:
         raise ValueError("need m >= 2 so the variance is estimable")
     theta = np.asarray(theta, dtype=float)
-    members = [np.asarray(g.groups[k], dtype=np.intp) for k in sub.u]
-    indices = np.concatenate(members)
-    terms = data.terms(theta, indices)
-    bounds = np.cumsum([0] + [idx.size for idx in members])
-    ell_groups = np.add.reduceat(terms, bounds[:-1])
-    diffs = ell_groups - cv.group_values(data, theta, sub.u)
-    ell_hat = cv.total(data, theta) + g.n_groups * float(diffs.mean())
-    with np.errstate(over="ignore"):
+    indices, starts = g.members(sub.u)
+    ell_groups = np.add.reduceat(data.terms(theta, indices), starts)
+    q = cv.group_values(data, theta, sub.u)
+    density_evals = int(indices.size) + cv.eval_cost
+    with np.errstate(invalid="ignore", over="ignore"):
+        diffs = ell_groups - q
         var = float(diffs.var(ddof=1))
+    if not math.isfinite(var):
+        return LogLikEstimate(ell_hat=-math.inf, sigma2_hat=math.inf, density_evals=density_evals)
     return LogLikEstimate(
-        ell_hat=ell_hat,
+        ell_hat=cv.total(data, theta) + g.n_groups * float(diffs.mean()),
         sigma2_hat=g.n_groups**2 * var / sub.m,
-        density_evals=int(indices.size) + cv.eval_cost,
+        density_evals=density_evals,
     )
 
 

@@ -55,10 +55,6 @@ class Periodogram:
         object.__setattr__(self, "ordinates", ordinates)
 
 
-def fourier_frequencies(n_time: int) -> FrequencyGrid:
-    return FrequencyGrid(n_time)
-
-
 def dft(series: TimeSeries, omega: float) -> complex:
     """Discrete Fourier transform at a single frequency.
 

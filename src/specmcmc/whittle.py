@@ -6,11 +6,16 @@ Everything downstream (subsampling, control variates) only needs the ability
 to evaluate those terms on an arbitrary index subset, so that is the
 interface ``WhittleData`` exposes; test doubles with the same ``terms``
 method can stand in for it.
+
+Frequencies are grouped by stride.  ``GroupIndex`` is the pair (n_freq,
+n_groups) and the one place that knows the layout: the members of picked
+groups and the per-group sums of a full term vector are arithmetic on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,34 +66,45 @@ class WhittleData:
 
 @dataclass(frozen=True)
 class GroupIndex:
-    """Partition of frequency indices into groups of near-equal size.
+    """Strided partition of the frequencies: group k is k, k + n_groups, ...
 
-    ``membership`` maps each frequency index to its group; ``groups`` lists
-    the member indices per group.  Sizes may differ by at most one.
+    Every group then spans the whole frequency range, which is what makes a
+    group total smooth in the parameters.  When n_groups does not divide
+    n_freq the leftover frequencies land one each in the leading groups, so
+    sizes differ by at most one.  The layout is arithmetic on the pair
+    (n_freq, n_groups); no per-group index array is stored.
     """
 
-    groups: tuple
     n_freq: int
+    n_groups: int
 
     def __post_init__(self) -> None:
-        membership = np.full(self.n_freq, -1, dtype=np.intp)
-        sizes = []
-        for gid, idx in enumerate(self.groups):
-            idx = np.asarray(idx, dtype=np.intp)
-            if idx.size == 0:
-                raise ValueError("groups must be non-empty")
-            membership[idx] = gid
-            sizes.append(idx.size)
-        if np.any(membership < 0) or sum(sizes) != self.n_freq:
-            raise ValueError("groups must partition the frequency indices exactly")
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("group sizes may differ by at most one")
-        membership.flags.writeable = False
-        object.__setattr__(self, "membership", membership)
+        if not 1 <= self.n_groups <= self.n_freq:
+            raise ValueError("need 1 <= n_groups <= n_freq")
 
     @property
-    def n_groups(self) -> int:
-        return len(self.groups)
+    def groups(self) -> tuple:
+        """Member indices of every group, ascending."""
+        return tuple(np.arange(k, self.n_freq, self.n_groups) for k in range(self.n_groups))
+
+    def members(self, u: np.ndarray) -> tuple[np.ndarray, list]:
+        """Members of the picked groups u, concatenated, and where each group starts."""
+        # row i holds group u_i padded to the size of group 0, then masked
+        grid = u[:, None] + np.arange(0, self.n_freq, self.n_groups)
+        # group sizes as Python ints: numpy's per-call cost dominates for few picks
+        sizes = (len(range(k, self.n_freq, self.n_groups)) for k in u.tolist()[:-1])
+        return grid[grid < self.n_freq], list(accumulate(sizes, initial=0))
+
+    def sums(self, terms: np.ndarray) -> np.ndarray:
+        """Per-group sums of a full term vector, each added in ascending frequency order.
+
+        A single group is one column, which numpy sums pairwise, so its sum
+        equals ``full_loglik``'s.
+        """
+        full = self.n_freq - self.n_freq % self.n_groups
+        out = terms[:full].reshape(-1, self.n_groups).sum(axis=0)
+        out[: self.n_freq - full] += terms[full:]
+        return out
 
 
 def full_loglik(data, theta) -> float:
@@ -98,7 +114,7 @@ def full_loglik(data, theta) -> float:
 
 def group_logliks(data, g: GroupIndex, theta) -> np.ndarray:
     """All group contributions in one pass over the frequencies."""
-    return np.bincount(g.membership, weights=data.terms(theta), minlength=g.n_groups)
+    return g.sums(data.terms(theta))
 
 
 def fd_steps(x: np.ndarray) -> np.ndarray:

@@ -8,12 +8,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import fftconvolve
 
 import specmcmc as sm
 from specmcmc.models import FRACTIONAL_KINDS
+
+# Every property draws the same examples on every run, so the suite is
+# deterministic; derandomized runs also keep no example database.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,15 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.ini")
 
 
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    config = load_config(path)
+    assert (config.method, config.cv, config.group_count) == ("subsample", "taylor", 500)
+
+
 def write_ini(path, text):
     path.write_text(textwrap.dedent(text))
     return str(path)
@@ -226,6 +235,36 @@ def test_fit_subsampled_chain(tmp_path):
     assert summary["group_count"] == "16"
     _, rows = read_csv(tmp_path / "sub_out" / "draws.csv")
     assert len(rows) == 400
+
+
+def test_fit_writes_nothing_when_a_density_grid_fails(tmp_path, capsys, monkeypatch):
+    def refuse(samples, grid_size=512):
+        raise ValueError("samples are constant; no density to estimate")
+
+    monkeypatch.setattr(sm.diagnostics, "kde_grid", refuse)
+    cfg = fit_config(tmp_path, "partial_out")
+    assert main(["fit", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: numeric:")
+    assert list((tmp_path / "partial_out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "old, new, name",
+    [
+        ("seed = 11", "seed = 11\ngroup_cout = 50", "group_cout"),
+        ("[output]", "[smapler]\nmethod = full\n\n[output]", "smapler"),
+    ],
+    ids=["misspelled_key", "unknown_section"],
+)
+def test_config_rejects_unknown_names(tmp_path, capsys, old, new, name):
+    cfg = fit_config(tmp_path, "typo_out")
+    Path(cfg).write_text(Path(cfg).read_text().replace(old, new))
+    assert main(["fit", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "typo_out").exists()
 
 
 def test_compare_command(tmp_path):

@@ -41,6 +41,9 @@ def test_make_groups_validation():
         sm.make_groups(10, 0)
     with pytest.raises(ValueError):
         sm.make_groups(10, 11)
+    for n_freq, n_groups in ((10, 0), (10, -1), (10, 11), (0, 0), (0, 1)):
+        with pytest.raises(ValueError, match="n_groups"):
+            sm.GroupIndex(n_freq, n_groups)
 
 
 def test_taylor_cv_exact_on_quadratic():

@@ -1,5 +1,7 @@
 """Subsample indicators, difference estimator, mode finding, and chains."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,8 @@ def test_debias_worked_example():
 def test_estimate_rejects_negative_variance():
     with pytest.raises(ValueError):
         sm.LogLikEstimate(ell_hat=0.0, sigma2_hat=-1e-9, density_evals=0)
+    with pytest.raises(ValueError):
+        sm.LogLikEstimate(ell_hat=0.0, sigma2_hat=np.nan, density_evals=0)
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +109,20 @@ def test_diff_estimator_unbiased_over_all_subsamples(seed, n_groups, extra_terms
     # against the sum of their magnitudes
     scale = np.abs(stub.terms(theta)).sum()
     for cv in all_cvs(stub, groups):
-        estimates = [
-            sm.diff_estimator(stub, groups, cv, theta, make_sub([i, j], 1, n_groups)).ell_hat
-            for i in range(n_groups)
-            for j in range(n_groups)
-        ]
+        estimates = []
+        for i in range(n_groups):
+            for j in range(n_groups):
+                sub = make_sub([i, j], 1, n_groups)
+                est = sm.diff_estimator(stub, groups, cv, theta, sub)
+                # the picked groups' members gathered one group array at a
+                # time and summed per group give the same bits
+                members = [groups.groups[k] for k in sub.u]
+                bounds = np.cumsum([0] + [idx.size for idx in members])
+                ell_groups = np.add.reduceat(stub.terms(theta, np.concatenate(members)), bounds[:-1])
+                diffs = ell_groups - cv.group_values(stub, theta, sub.u)
+                assert est.ell_hat == cv.total(stub, theta) + n_groups * float(diffs.mean())
+                assert est.sigma2_hat == n_groups**2 * float(diffs.var(ddof=1)) / 2
+                estimates.append(est.ell_hat)
         assert np.mean(estimates) == pytest.approx(full, rel=1e-10, abs=1e-10 * scale)
 
 
@@ -136,6 +149,21 @@ def test_diff_estimator_eval_accounting(stub_and_groups):
     for cv in all_cvs(stub, groups):
         est = sm.diff_estimator(stub, groups, cv, stub.center, sub)
         assert est.density_evals == sampled + cv.eval_cost
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.nan])
+def test_diff_estimator_non_finite_terms_give_minus_inf(stub_and_groups, bad):
+    # variates built on finite data, evaluated on data whose terms are all
+    # -inf or NaN: a clean -inf log target, without a RuntimeWarning
+    stub, groups = stub_and_groups
+    broken = dataclasses.replace(stub, consts=np.full(stub.n_freq, bad))
+    sub = make_sub([1, 1, 5], 1, 6)
+    for cv in all_cvs(stub, groups):
+        est = sm.diff_estimator(broken, groups, cv, stub.center, sub)
+        assert est.ell_hat == -np.inf
+        assert est.sigma2_hat == np.inf
+        assert sm.debias(est) == -np.inf
+        assert est.density_evals == sm.diff_estimator(stub, groups, cv, stub.center, sub).density_evals
 
 
 def test_find_mode_white_noise_closed_form():

@@ -19,21 +19,21 @@ def brute_force_dft(values: np.ndarray, omega: float) -> complex:
 
 
 def test_fourier_frequencies_example():
-    grid = sm.fourier_frequencies(8)
+    grid = sm.FrequencyGrid(8)
     assert grid.n_freq == 3
     np.testing.assert_allclose(grid.omegas, [2 * np.pi / 8, 4 * np.pi / 8, 6 * np.pi / 8])
 
 
 def test_fourier_frequencies_excludes_endpoints():
     for n in (4, 5, 16, 17):
-        omegas = sm.fourier_frequencies(n).omegas
+        omegas = sm.FrequencyGrid(n).omegas
         assert np.all(omegas > 0) and np.all(omegas < np.pi)
         assert np.all(np.diff(omegas) > 0)
 
 
 def test_fourier_frequencies_minimum_length():
     with pytest.raises(ValueError):
-        sm.fourier_frequencies(3)
+        sm.FrequencyGrid(3)
 
 
 def test_dft_unit_impulse():

@@ -42,25 +42,33 @@ def test_full_loglik_is_sum_of_terms():
     assert sm.full_loglik(data, theta) == pytest.approx(total, rel=1e-12)
 
 
-def test_group_logliks_add_up():
-    data = small_data(n_time=229)
-    theta = np.array([0.1, -0.2])
-    for n_groups in (1, 7, 16):
-        groups = sm.make_groups(data.n_freq, n_groups)
-        parts = sm.group_logliks(data, groups, theta)
-        assert parts.size == n_groups
-        assert parts.sum() == pytest.approx(sm.full_loglik(data, theta), rel=1e-12)
-        single = np.sum(data.terms(theta, groups.groups[3 % n_groups]))
-        assert single == pytest.approx(parts[3 % n_groups], rel=1e-12)
-
-
-def test_group_index_validation():
-    with pytest.raises(ValueError, match="partition"):
-        sm.GroupIndex(groups=(np.array([0, 1]), np.array([1, 2])), n_freq=4)
-    with pytest.raises(ValueError, match="at most one"):
-        sm.GroupIndex(groups=(np.array([0, 1, 2]), np.array([3])), n_freq=4)
-    with pytest.raises(ValueError, match="non-empty"):
-        sm.GroupIndex(groups=(np.arange(4), np.array([], dtype=int)), n_freq=4)
+@given(
+    st.integers(1, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32 - 1),
+)
+def test_group_logliks_add_up(sizes, seed):
+    n_freq, n_groups = sizes
+    rng = np.random.default_rng(seed)
+    stub = make_quadratic_stub(rng, n_terms=n_freq, dim=2)
+    theta = stub.center + rng.normal(size=2)
+    terms = stub.terms(theta)
+    groups = sm.make_groups(n_freq, n_groups)
+    parts = sm.group_logliks(stub, groups, theta)
+    # each group accumulated term by term in ascending frequency order
+    oracle = np.bincount(np.arange(n_freq) % n_groups, weights=terms, minlength=n_groups)
+    # the terms can cancel to a sum near zero, so rounding is measured
+    # against the sum of their magnitudes
+    scale = np.abs(terms).sum()
+    assert parts.shape == (n_groups,)
+    if n_groups > 1:
+        np.testing.assert_array_equal(parts, oracle)
+    else:
+        # a single group is summed pairwise, exactly as the full log-likelihood
+        assert parts[0] == sm.full_loglik(stub, theta)
+        assert parts[0] == pytest.approx(oracle[0], rel=1e-12, abs=1e-12 * scale)
+    assert parts.sum() == pytest.approx(sm.full_loglik(stub, theta), rel=1e-12, abs=1e-12 * scale)
+    k = seed % n_groups
+    assert np.sum(terms[groups.groups[k]]) == pytest.approx(parts[k], rel=1e-12, abs=1e-12 * scale)
 
 
 def test_grad_hess_white_noise_analytic_gradient():
