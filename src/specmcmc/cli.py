@@ -159,7 +159,11 @@ _KEYS = {
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a config file; a section or key not in ``_KEYS`` is a ``ConfigError``."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:  # a missing section header, a duplicate key
+        raise ConfigError(f"{path}: {_one_line(exc)}") from exc
+    if not found:
         raise FileNotFoundError(f"config file not found: {path}")
     sections = parser.sections() + (["DEFAULT"] if parser.defaults() else [])
     unknown = [f"section [{name}]" for name in sections if name not in _KEYS] + [
@@ -175,9 +179,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kwargs = {
             key: _KEYS[name][key](parser, name, key) for name in sections for key in parser[name]
         }
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except (ValueError, configparser.Error) as exc:  # Error: a lone % in a value
+        raise ConfigError(f"{path}: {_one_line(exc)}") from exc
     return ExperimentConfig(**kwargs)
+
+
+def _one_line(exc: Exception) -> str:
+    """An exception's message with its line breaks and runs of blanks made single spaces."""
+    return " ".join(str(exc).split())
 
 
 def _text(value) -> str:

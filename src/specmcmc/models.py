@@ -103,6 +103,29 @@ def pacf_to_ar(pacf) -> np.ndarray:
     return np.array(coeffs)
 
 
+def _pacf_to_ar_jacobian(pacf) -> np.ndarray:
+    """Jacobian d phi_i / d pacf_l of :func:`pacf_to_ar`, row i, column l.
+
+    Differentiates the Durbin-Levinson step alongside it: the new coefficient
+    c_i - r_k c_{k-1-i} has derivative J_i - r_k J_{k-1-i} - [l = k] c_{k-1-i}.
+    """
+    pacf = np.asarray(pacf, dtype=float)
+    coeffs, jac = np.zeros(0), np.zeros((0, pacf.size))
+    for k, r in enumerate(pacf.tolist()):
+        step = np.zeros((k + 1, pacf.size))
+        step[:k] = jac - r * jac[::-1]
+        step[:k, k] -= coeffs[::-1]
+        step[k, k] = 1.0
+        coeffs, jac = np.append(coeffs - r * coeffs[::-1], r), step
+    return jac
+
+
+def _sech2(x: np.ndarray) -> np.ndarray:
+    """1 - tanh(x)^2 as 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which keeps its tail."""
+    e = np.exp(-2.0 * np.abs(x))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
 def ar_to_pacf(coeffs) -> np.ndarray:
     """Inverse of :func:`pacf_to_ar`; fails if the input is not stationary."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -217,12 +240,12 @@ def trig_table(spec: ModelSpec, omegas) -> np.ndarray:
     return table
 
 
-def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
-    """|1 + sum_k coef_k exp(-i*k*omega)|^2 into ``re``; ``im`` is overwritten.
+def _circle_parts(coef, cos, sin, re, im, tmp=None) -> None:
+    """1 + sum_k coef_k cos k*omega into ``re`` and sum_k coef_k sin k*omega into ``im``.
 
-    Computed as (1 + sum_k coef_k cos k*omega)^2 + (sum_k coef_k sin k*omega)^2,
-    which has the conditioning of the complex form.  ``tmp`` is scratch for
-    orders above one and is allocated when not given.
+    These are the real part and minus the imaginary part of
+    1 + sum_k coef_k exp(-i*k*omega).  ``tmp`` is scratch for orders above one
+    and is allocated when not given.
     """
     np.multiply(cos[0], coef[0], out=re)
     np.multiply(sin[0], coef[0], out=im)
@@ -232,6 +255,15 @@ def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
         re += np.multiply(cos[k], coef[k], out=tmp)
         im += np.multiply(sin[k], coef[k], out=tmp)
     re += 1.0
+
+
+def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
+    """|1 + sum_k coef_k exp(-i*k*omega)|^2 into ``re``; ``im`` is overwritten.
+
+    Computed as (1 + sum_k coef_k cos k*omega)^2 + (sum_k coef_k sin k*omega)^2,
+    which has the conditioning of the complex form.
+    """
+    _circle_parts(coef, cos, sin, re, im, tmp)
     np.square(re, out=re)
     np.square(im, out=im)
     re += im
@@ -273,6 +305,77 @@ def density_from_trig(
     if spec.sv_wrapper:
         out += nat.sigma2_eps / (2.0 * np.pi)
     return out
+
+
+def log_density_score(
+    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, work
+) -> np.ndarray:
+    """sum_k weights_k * grad log f(omega_k), the gradient in the unconstrained vector.
+
+    ``nat`` decodes ``vector`` and ``dens`` is :func:`density_from_trig` of it
+    at the table's columns.  ``weights``, ``dens`` and the (3, n) scratch
+    ``work`` are overwritten.  Every block is contracted over the frequencies
+    as it is formed, so no (dim, n) array is built:
+
+    - AR and MA: for 1 + sum_j c_j exp(-i*j*omega) with parts re, im from
+      :func:`_circle_parts` and power P, d log P / d c_j = 2 (re cos j*omega +
+      im sin j*omega) / P, two matrix-vector products with the table's rows.
+      The AR power enters log f negated with c = -phi, so both blocks take
+      the same sign.
+    - d log f / d d = -log T, also at d = 0 where the density skips the
+      factor, and d log f / d log lambda = -d lambda T'/T with
+      T' = -2 expm1(-lambda) e^-lambda - 4 e^-lambda sin(omega/2)^2.
+    - d log f / d log sigma2 = 1.
+    - With the volatility wrapper f = f_b + c: grad log f = (1 - c/f) grad log
+      f_b, and d log f / d log sigma2_eps = c/f.
+
+    The chain rule through tanh, the PACF maps and d = 0.5 tanh(d_tilde) is
+    exact and works on a few numbers, with no data.
+    """
+    order = (trig.shape[0] - 1) // 2
+    cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
+    vector = np.asarray(vector, dtype=float)
+    grad = np.empty(spec.n_params)
+    if spec.sv_wrapper:
+        # weights * c/f, then weights * (1 - c/f) for the base density
+        np.divide(nat.sigma2_eps / (2.0 * np.pi), dens, out=dens)
+        dens *= weights
+        grad[-1] = float(np.sum(dens))
+        weights -= dens
+    q, p = spec.ar_order, spec.ma_order
+    re, im, power = work[0], work[1], work[2]
+    for start, size, coef, pacf_sign in ((0, q, -nat.phi, 1.0), (q, p, nat.theta, -1.0)):
+        if not size:
+            continue
+        _circle_parts(coef, cos, sin, re, im, dens)
+        np.multiply(re, re, out=power)
+        power += np.multiply(im, im, out=dens)
+        np.divide(weights, power, out=power)
+        re *= power
+        im *= power
+        by_coef = 2.0 * (cos[:size] @ re + sin[:size] @ im)
+        # phi = pacf_to_ar(tanh x); theta = -pacf_to_ar(-tanh x), whose signs cancel
+        block = vector[start : start + size]
+        jac = _pacf_to_ar_jacobian(pacf_sign * np.tanh(block))
+        grad[start : start + size] = (by_coef @ jac) * _sech2(block)
+    pos = q + p
+    if spec.fractional != "none":
+        lam = nat.lambda_ if nat.lambda_ is not None else 0.0
+        damp = math.exp(-lam)
+        temper = np.multiply(half_sin2, 4.0 * damp, out=work[0])
+        temper += math.expm1(-lam) ** 2
+        if spec.fractional == "artfima":
+            per_temper = np.divide(weights, temper, out=work[1])
+            slope = -2.0 * math.expm1(-lam) * damp * float(np.sum(per_temper)) - 4.0 * damp * float(
+                per_temper @ half_sin2
+            )
+            grad[pos + 1] = -nat.d * lam * slope
+        grad[pos] = -float(weights @ np.log(temper, out=temper))
+        if spec.fractional == "arfima":
+            grad[pos] *= 0.5 * _sech2(vector[pos])
+        pos += 1 if spec.fractional == "arfima" else 2
+    grad[pos] = float(np.sum(weights))
+    return grad
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
@@ -319,9 +422,10 @@ def log_prior(spec: ModelSpec, vector, hyper: PriorHyperparams = DEFAULT_PRIORS)
     if vector.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {vector.shape}")
     q, p = spec.ar_order, spec.ma_order
-    block = vector[: q + p]
-    # log(0.5 * (1 - tanh(v)^2)) per coordinate, written stably.
-    total = float(np.sum(np.log1p(-np.tanh(block) ** 2) - math.log(2.0)))
+    # log(0.5 * (1 - tanh(v)^2)) = -log 2 - 2 log cosh v per coordinate, with
+    # log cosh v = |v| + log1p(exp(-2|v|)) - log 2, finite for every finite v
+    size = np.abs(vector[: q + p])
+    total = float(np.sum(-2.0 * (size + np.log1p(np.exp(-2.0 * size)) - math.log(2.0)) - math.log(2.0)))
     pos = q + p
     if spec.fractional in ("arfima", "artfima"):
         total += _normal_logpdf(vector[pos], *hyper.memory)

@@ -152,21 +152,37 @@ class ModeResult:
 def find_mode(data, log_prior_fn, theta0, max_iter: int = 1000) -> ModeResult:
     """Maximize the log posterior by quasi-Newton ascent.
 
-    Gradients fed to the optimizer are central differences; the value,
-    gradient and curvature at the optimum come from one central-difference
-    stencil (``taylor_coefficients``).  Exits only if the gradient norm is below
-    1e-5 * (1 + |log posterior|); a curvature that is not negative definite
-    at the optimum is an error rather than something to patch over.
+    Each BFGS evaluation is one pass over the data,
+    ``data.loglik_and_score``, which gives the log-likelihood with its exact
+    gradient; the prior's gradient is a central difference.  A trial point
+    outside the model's range (``ParameterRangeError``, or a log posterior
+    that is not finite) has objective +inf, so the line search backs off
+    from it.  The value, gradient and curvature at the optimum come from one
+    central-difference stencil (``taylor_coefficients``).  Exits only if the
+    stencil's gradient norm is below 1e-5 * (1 + |log posterior|); a
+    curvature that is not negative definite at the optimum is an error
+    rather than something to patch over.
     """
     theta0 = np.asarray(theta0, dtype=float)
 
     def log_post(v):
         return full_loglik(data, v) + log_prior_fn(v)
 
+    def objective(v):
+        try:
+            with np.errstate(all="ignore"):
+                loglik, score = data.loglik_and_score(v)
+        except ParameterRangeError:
+            return math.inf, np.zeros_like(v)
+        value = loglik + log_prior_fn(v)
+        if not (math.isfinite(value) and np.all(np.isfinite(score))):
+            return math.inf, np.zeros_like(v)
+        return -value, -(score + fd_gradient(log_prior_fn, v))
+
     result = minimize(
-        lambda v: -log_post(v),
+        objective,
         theta0,
-        jac=lambda v: -fd_gradient(log_post, v),
+        jac=True,
         method="BFGS",
         options={"gtol": 1e-9, "maxiter": max_iter},
     )

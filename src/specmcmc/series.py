@@ -45,6 +45,21 @@ class SeriesFileError(ValueError):
     """A series file whose contents cannot be read as a series."""
 
 
+def _record(path, lineno: int, line: str, column: int) -> float | None:
+    """The selected field of one stripped line; None for a blank or comment line."""
+    if not line or line.startswith("#"):
+        return None
+    fields = [f for f in (line.split(",") if "," in line else line.split()) if f.strip()]
+    if column >= len(fields):
+        raise SeriesFileError(
+            f"{path}: line {lineno}: expected at least {column + 1} columns, found {len(fields)}"
+        )
+    try:
+        return float(fields[column].strip())
+    except ValueError as exc:
+        raise SeriesFileError(f"{path}: line {lineno}: cannot parse {fields[column]!r}") from exc
+
+
 def load_series(path: str | Path, column: int = 0) -> TimeSeries:
     """Read a series from a text file, one record per line.
 
@@ -57,20 +72,16 @@ def load_series(path: str | Path, column: int = 0) -> TimeSeries:
     values = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [f for f in (line.split(",") if "," in line else line.split()) if f.strip()]
-            if column >= len(fields):
-                raise SeriesFileError(
-                    f"{path}: line {lineno}: expected at least {column + 1} columns, found {len(fields)}"
-                )
+            # A line float() takes whole is one field, so for column 0 it is
+            # the record; every other line is split.
             try:
-                value = float(fields[column].strip())
-            except ValueError as exc:
-                raise SeriesFileError(
-                    f"{path}: line {lineno}: cannot parse {fields[column]!r}"
-                ) from exc
+                value = float(raw) if column == 0 else None
+            except ValueError:
+                value = None
+            if value is None:
+                value = _record(path, lineno, raw.strip(), column)
+                if value is None:
+                    continue
             if not math.isfinite(value):
                 raise SeriesFileError(f"{path}: line {lineno}: non-finite value {value!r}")
             values.append(value)

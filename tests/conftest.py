@@ -53,6 +53,11 @@ class QuadraticTerms:
         quad = np.einsum("kij,i,j->k", hessians, delta, delta)
         return consts + grads @ delta + 0.5 * quad
 
+    def loglik_and_score(self, theta):
+        """Summed terms, as ``full_loglik`` gives them, and their gradient sum_i g_i + H_i delta."""
+        delta = np.asarray(theta, dtype=float) - self.center
+        return float(np.sum(self.terms(theta))), self.grads.sum(axis=0) + self.hessians.sum(axis=0) @ delta
+
     def total_mode(self) -> np.ndarray:
         """Maximizer of the summed terms (flat prior)."""
         return self.center - np.linalg.solve(self.hessians.sum(axis=0), self.grads.sum(axis=0))

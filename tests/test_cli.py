@@ -1,6 +1,7 @@
 """Config parsing, the four subcommands, and reproducible artifacts."""
 
 import csv
+import re
 import textwrap
 from pathlib import Path
 
@@ -265,6 +266,23 @@ def test_config_rejects_unknown_names(tmp_path, capsys, old, new, name):
     assert name in err
     assert err.count("\n") == 1
     assert not (tmp_path / "typo_out").exists()
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement",
+    [(r"\[data\]", ""), (r"directory = .*", "directory = out%x")],
+    ids=["no_section_header", "lone_percent"],
+)
+def test_config_parser_errors_are_config_errors(tmp_path, capsys, pattern, replacement):
+    # configparser's own errors: a file without a section header fails while
+    # it is read, a lone % (basic interpolation) when its value is read
+    cfg = fit_config(tmp_path, "parse_out")
+    Path(cfg).write_text(re.sub(pattern, replacement, Path(cfg).read_text(), count=1))
+    assert main(["fit", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "parse_out").exists()
 
 
 def test_compare_command(tmp_path):

@@ -1,6 +1,7 @@
 """Parameter transforms, spectral densities, and priors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,3 +280,32 @@ def test_prior_hyperparams_override():
     spec = sm.ModelSpec(0, 0)
     wide = sm.PriorHyperparams(log_sigma2=(0.0, 10.0))
     assert sm.log_prior(spec, np.array([3.0]), wide) > sm.log_prior(spec, np.array([3.0]))
+
+
+def tanh_form_log_prior(spec, vector):
+    """The earlier log prior: log(0.5 * (1 - tanh(v)^2)) on the PACF coordinates."""
+    block = vector[: spec.ar_order + spec.ma_order]
+    pacf = float(np.sum(np.log1p(-np.tanh(block) ** 2) - math.log(2.0)))
+    rest = sm.ModelSpec(0, 0, spec.fractional, spec.sv_wrapper)
+    return pacf + sm.log_prior(rest, vector[block.size :])
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=5.0))
+def test_log_prior_matches_the_tanh_form(case):
+    # 1 - tanh(v)^2 by cancellation carries a relative error near
+    # eps * e^(2|v|) / 2, 2.5e-12 at |v| = 5 on a log of -10 or less, so up to
+    # there the tanh form is accurate enough to be the reference
+    spec, vector = case
+    assert sm.log_prior(spec, vector) == pytest.approx(tanh_form_log_prior(spec, vector), rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [19.5, -19.5, 400.0, -400.0])
+def test_log_prior_stable_far_out(v):
+    # the tanh form warned "divide by zero encountered in log1p" from about
+    # |v| = 19 on; -log 2 - 2 log cosh v tends to log 2 - 2|v|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = sm.log_prior(sm.ModelSpec(1, 0), np.array([v, 0.0]))
+    assert math.isfinite(value)
+    assert value == pytest.approx(math.log(2) - 2 * abs(v) - 0.5 * math.log(2 * math.pi), rel=1e-15)

@@ -1,6 +1,7 @@
 """Subsample indicators, difference estimator, mode finding, and chains."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -359,3 +360,46 @@ def test_chains_reject_out_of_range_proposals():
     again = sm.run_pm_chain(data, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     np.testing.assert_array_equal(pm.draws, again.draws)
     assert np.all(np.abs(pm.draws) < 709.0) and np.all(np.isfinite(pm.loglik_trace))
+
+
+def test_find_mode_from_a_far_start(arma11_data):
+    # log sigma2 = 705 is near the top of the range of exp; the search from
+    # there ends at the mode found from zero
+    data, log_prior_fn, mode = arma11_data
+    far = sm.find_mode(data, log_prior_fn, np.array([0.0, 0.0, 705.0]))
+    sd = np.sqrt(np.diag(mode.laplace_cov))
+    assert np.all(np.abs(far.theta - mode.theta) < 1e-3 * sd)
+    assert far.log_posterior == pytest.approx(mode.log_posterior, rel=1e-12)
+
+
+@dataclasses.dataclass(frozen=True)
+class WalledQuadratic:
+    """A quadratic stub whose first coordinate is out of range beyond ``wall``."""
+
+    stub: object
+    wall: float
+    hits: list = dataclasses.field(default_factory=list)
+
+    def __getattr__(self, name):
+        return getattr(self.stub, name)
+
+    def loglik_and_score(self, theta):
+        if theta[0] - self.stub.center[0] > self.wall:
+            self.hits.append(theta.copy())
+            raise sm.ParameterRangeError("past the wall")
+        return self.stub.loglik_and_score(theta)
+
+
+def test_find_mode_backs_off_from_out_of_range_trial_points():
+    # the mode sits at delta = 0.2 inside a wall at 0.3, with curvature -5;
+    # BFGS's first step is the gradient capped at length 1.01, so from
+    # delta = -0.6 it lands at 0.41, past the wall, and that trial point is
+    # +inf for the minimizer instead of ending the search
+    stub = make_quadratic_stub(np.random.default_rng(4), n_terms=10, dim=1)
+    stub = dataclasses.replace(
+        stub, grads=np.full((10, 1), 0.1), hessians=np.full((10, 1, 1), -0.5)
+    )
+    walled = WalledQuadratic(stub, wall=0.3)
+    mode = sm.find_mode(walled, lambda v: 0.0, stub.center - 0.6)
+    assert walled.hits
+    assert mode.theta[0] == pytest.approx(stub.total_mode()[0], abs=1e-8)

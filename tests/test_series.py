@@ -1,7 +1,11 @@
 """Series loading, transforms, and the ARMA simulator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import specmcmc as sm
 from specmcmc.series import SeriesFileError
@@ -115,3 +119,81 @@ def test_simulate_arma_burn_in_disperses_start():
     first = np.var(sim.values[:10_000])
     last = np.var(sim.values[-10_000:])
     assert first == pytest.approx(last, rel=0.15)
+
+
+def line_by_line_load(path, column=0):
+    """The loader before its fast path: every record split, then the field parsed."""
+    values = []
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [f for f in (line.split(",") if "," in line else line.split()) if f.strip()]
+            if column >= len(fields):
+                raise SeriesFileError(
+                    f"{path}: line {lineno}: expected at least {column + 1} columns, found {len(fields)}"
+                )
+            try:
+                value = float(fields[column].strip())
+            except ValueError as exc:
+                raise SeriesFileError(
+                    f"{path}: line {lineno}: cannot parse {fields[column]!r}"
+                ) from exc
+            if not math.isfinite(value):
+                raise SeriesFileError(f"{path}: line {lineno}: non-finite value {value!r}")
+            values.append(value)
+    if len(values) < 2:
+        raise SeriesFileError(f"{path}: needs at least two observations, found {len(values)}")
+    return sm.TimeSeries(np.array(values))
+
+
+# Fields: mostly numbers, in every spelling float() takes, then non-finite
+# words and junk.  Blanks: the whitespace characters str.split and float()
+# both strip.  Lines are mostly numbers, so about a third of the files parse.
+BLANKS = st.text(alphabet=" \t\x0b\x0c", max_size=2)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1_000", "+1e5", ".5", "1.", "-0", "1E-3"]),
+)
+FIELDS = st.one_of(
+    NUMBERS,
+    NUMBERS,
+    NUMBERS,
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "0x10", "#3", ""]),
+    st.text(alphabet="0123456789.e+-_xabn#", max_size=4),
+)
+LINE_KINDS = ["number"] * 8 + ["blank", "comment", "row", "row", "junk"]
+
+
+@st.composite
+def series_lines(draw):
+    kind = draw(st.sampled_from(LINE_KINDS))
+    if kind == "number":
+        return draw(BLANKS) + draw(NUMBERS if draw(st.booleans()) else FIELDS) + draw(BLANKS)
+    if kind == "blank":
+        return draw(BLANKS)
+    if kind == "comment":
+        return draw(BLANKS) + "#" + draw(st.text(alphabet="abc 1.,", max_size=6))
+    if kind == "row":
+        sep = draw(st.sampled_from([",", " ", "\t", ", ", " ,", ",,"]))
+        return sep.join(draw(st.lists(FIELDS, min_size=1, max_size=4)))
+    return draw(st.text(alphabet="0123456789.,;:e+- \t#abn", max_size=8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(series_lines(), max_size=12), st.integers(0, 2))
+def test_load_series_fast_path_matches_the_split_path(tmp_path_factory, lines, column):
+    path = tmp_path_factory.mktemp("lines") / "series.txt"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        expected = line_by_line_load(path, column).values
+        event("parsed")
+    except SeriesFileError as exc:
+        event("error")
+        with pytest.raises(SeriesFileError) as caught:
+            sm.load_series(path, column)
+        assert str(caught.value) == str(exc)
+    else:
+        np.testing.assert_array_equal(sm.load_series(path, column).values, expected)

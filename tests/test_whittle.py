@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specmcmc as sm
@@ -142,3 +142,85 @@ def test_terms_subset_consistency(case, indices):
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
     indices = np.array(indices)
     np.testing.assert_array_equal(data.terms(theta, indices), data.terms(theta)[indices])
+
+
+# Central differences for the score: the step h = 1e-6 leaves a truncation
+# error of h^2/6 |F'''| (1.7e-13 |F'''|) and a rounding error of about
+# eps * sum_k |l_k| / h (2.2e-10 sum_k |l_k|).  The tolerance 1e-6 sum_k |l_k|
+# is 4500 times the rounding term.  The truncation term is not bounded by the
+# entries alone: with a root of the AR or MA polynomial at distance delta
+# from the unit circle, |F'''| / sum_k |l_k| grows like delta^-3.  An MA(3)
+# at (0, 1.75, 1.75), delta = 1.7e-3, put the difference 0.10 off the score
+# against a tolerance of 0.0019, and the next test shows that this is the
+# difference's error.  So the property takes delta >= 0.05, where the
+# truncation term is some 25000 times smaller, and entries bounded by 2.
+SCORE_STEP = 1e-6
+SCORE_RTOL = 1e-6
+MIN_ROOT_DISTANCE = 0.05
+
+
+def central_score(data, theta, step=SCORE_STEP):
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        e = np.zeros(theta.size)
+        e[j] = step
+        grad[j] = (sm.full_loglik(data, theta + e) - sm.full_loglik(data, theta - e)) / (2 * step)
+    return grad
+
+
+def root_distance(nat) -> float:
+    """Distance of the nearest AR or MA root from the unit circle (inf for none)."""
+    distance = math.inf
+    for coef in (-nat.phi, nat.theta):
+        # a top coefficient under 1e-12 only adds roots beyond modulus ~1e11,
+        # and dividing by a subnormal one would overflow
+        top = np.flatnonzero(np.abs(coef) >= 1e-12)
+        if top.size:
+            roots = np.roots(np.r_[coef[: top[-1] + 1][::-1], 1.0])
+            distance = min(distance, float(np.abs(roots).min()) - 1.0)
+    return distance
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0))
+def test_loglik_and_score_matches_central_differences(case):
+    spec, theta = case
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    assume(root_distance(sm.to_natural(spec, theta)) >= MIN_ROOT_DISTANCE)
+    value, score = data.loglik_and_score(theta)
+    assert value == sm.full_loglik(data, theta)
+    tol = SCORE_RTOL * float(np.sum(np.abs(data.terms(theta))))
+    np.testing.assert_allclose(score, central_score(data, theta), rtol=0, atol=tol)
+
+
+def test_score_is_the_limit_of_differences_near_a_unit_root():
+    # at the MA(3) example above the difference misses the score by 0.10 at
+    # h = 1e-6; that miss shrinks 100-fold per tenfold smaller step, the h^2
+    # of the difference's own truncation error, so the score is its limit
+    spec, theta = sm.ModelSpec(0, 3), np.array([0.0, 1.75, 1.75, 1.75])
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    assert root_distance(sm.to_natural(spec, theta)) < 2e-3
+    _, score = data.loglik_and_score(theta)
+    misses = [abs(central_score(data, theta, h)[0] - score[0]) for h in (1e-4, 1e-5, 1e-6)]
+    assert misses[0] > 100.0
+    for coarse, fine in zip(misses, misses[1:]):
+        assert 90.0 < coarse / fine < 110.0
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        (sm.ModelSpec(1, 1, fractional="arfima"), np.array([0.3, -0.2, 0.0, 0.1])),
+        (sm.ModelSpec(1, 1, fractional="artfima"), np.array([0.3, -0.2, 0.0, -0.5, 0.1])),
+    ],
+    ids=["arfima", "artfima"],
+)
+def test_memory_score_is_nonzero_at_zero_memory(spec, theta):
+    # the density skips the fractional factor at d = 0, but the derivative in
+    # the memory coordinate (index 2) is -sum_k (I_k/f_k - 1) log T_k there
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    _, score = data.loglik_and_score(theta)
+    assert score[2] != 0.0
+    tol = SCORE_RTOL * float(np.sum(np.abs(data.terms(theta))))
+    assert abs(score[2] - central_score(data, theta)[2]) <= tol
+    assert abs(score[2]) > 100 * tol
