@@ -366,9 +366,8 @@ def log_density_score(
         temper += math.expm1(-lam) ** 2
         if spec.fractional == "artfima":
             per_temper = np.divide(weights, temper, out=work[1])
-            slope = -2.0 * math.expm1(-lam) * damp * float(np.sum(per_temper)) - 4.0 * damp * float(
-                per_temper @ half_sin2
-            )
+            slope = -2.0 * math.expm1(-lam) * damp * float(np.sum(per_temper))
+            slope -= 4.0 * damp * float(per_temper @ half_sin2)  # sum_k w_k T'_k / T_k
             grad[pos + 1] = -nat.d * lam * slope
         grad[pos] = -float(weights @ np.log(temper, out=temper))
         if spec.fractional == "arfima":

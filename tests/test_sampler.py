@@ -1,7 +1,6 @@
 """Subsample indicators, difference estimator, mode finding, and chains."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest

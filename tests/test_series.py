@@ -150,7 +150,7 @@ def line_by_line_load(path, column=0):
 
 # Fields: mostly numbers, in every spelling float() takes, then non-finite
 # words and junk.  Blanks: the whitespace characters str.split and float()
-# both strip.  Lines are mostly numbers, so about a third of the files parse.
+# both strip.  Lines are mostly numbers, so about one file in five parses.
 BLANKS = st.text(alphabet=" \t\x0b\x0c", max_size=2)
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

@@ -172,7 +172,7 @@ def root_distance(nat) -> float:
     """Distance of the nearest AR or MA root from the unit circle (inf for none)."""
     distance = math.inf
     for coef in (-nat.phi, nat.theta):
-        # a top coefficient under 1e-12 only adds roots beyond modulus ~1e11,
+        # a top coefficient under 1e-12 only adds roots of modulus above ~1e3,
         # and dividing by a subnormal one would overflow
         top = np.flatnonzero(np.abs(coef) >= 1e-12)
         if top.size:
