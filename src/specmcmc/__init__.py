@@ -31,11 +31,9 @@ from .diagnostics import (
     relative_ct,
 )
 from .models import (
-    DEFAULT_PRIORS,
     ModelSpec,
     NaturalParams,
     ParameterRangeError,
-    PriorHyperparams,
     ar_to_pacf,
     from_natural,
     log_prior,
@@ -57,21 +55,8 @@ from .sampler import (
     run_pm_chain,
 )
 from .series import TimeSeries, demean, load_series, log_square_transform, simulate_arma
-from .spectral import (
-    FrequencyGrid,
-    Periodogram,
-    dft,
-    periodogram,
-    save_periodogram,
-)
-from .whittle import (
-    GroupIndex,
-    WhittleData,
-    fd_gradient,
-    full_loglik,
-    grad_hess,
-    group_logliks,
-)
+from .spectral import FrequencyGrid, Periodogram, dft, periodogram
+from .whittle import GroupIndex, WhittleData, fd_gradient, full_loglik, grad_hess
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -189,25 +189,6 @@ def _one_line(exc: Exception) -> str:
     return " ".join(str(exc).split())
 
 
-def _text(value) -> str:
-    """A config value as load_config reads it back."""
-    if isinstance(value, tuple):
-        return " ".join(repr(v) for v in value)
-    if isinstance(value, bool):
-        return str(value).lower()
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    """Write a config back out; load_config(save_config(c)) == c."""
-    parser = configparser.ConfigParser()
-    for section, keys in _KEYS.items():
-        values = {key: getattr(config, key) for key in keys}
-        parser[section] = {key: _text(v) for key, v in values.items() if v is not None}
-    with open(path, "w") as handle:
-        parser.write(handle)
-
-
 def _simulate(config: ExperimentConfig) -> series.TimeSeries:
     return series.simulate_arma(
         np.asarray(config.phi),
@@ -233,22 +214,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header, rows) -> None:
+_CSV_BLOCK = 4096
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """A header row, then row i holding entry i of every column.
+
+    ``csv`` writes a Python float as its ``repr``, the shortest text that
+    reads back to the same float.  Columns become Python objects one block
+    of rows at a time, which keeps the memory of a long column flat.
+    """
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            writer.writerows(zip(*(c[start : start + _CSV_BLOCK].tolist() for c in columns)))
 
 
 def _write_efficiency(path: Path, report: diagnostics.EfficiencyReport, rct) -> None:
-    _write_csv(
-        path,
-        ["parameter", "IF", "density_evals", "CT", "RCT"],
-        (
-            [name, _fmt(iv), str(report.density_evals), _fmt(ct), _fmt(r)]
-            for name, iv, ct, r in zip(report.param_names, report.if_values, report.ct, rct)
-        ),
-    )
+    evals = [report.density_evals] * len(rct)
+    columns = [report.param_names, report.if_values, evals, report.ct, rct]
+    _write_csv(path, ["parameter", "IF", "density_evals", "CT", "RCT"], columns)
 
 
 def _prepare(config: ExperimentConfig):
@@ -297,6 +284,14 @@ def _summary_lines(config: ExperimentConfig, data, mode, output) -> list[str]:
     lines = [
         f"method={config.method}",
         f"cv={config.cv if config.method == 'subsample' else 'exact'}",
+    ]
+    if config.method == "subsample":
+        lines += [
+            f"blocks={config.blocks}",
+            f"group_count={config.group_count}",
+            f"m={config.subsample_m}",
+        ]
+    lines += [
         f"n_time={data.periodogram.grid.n_time}",
         f"n_freq={data.n_freq}",
         f"parameters={','.join(output.param_names)}",
@@ -307,10 +302,6 @@ def _summary_lines(config: ExperimentConfig, data, mode, output) -> list[str]:
         f"acceptance_rate={_fmt(output.acceptance_rate)}",
         f"density_evals={output.density_evals}",
     ]
-    if config.method == "subsample":
-        lines.insert(2, f"m={config.subsample_m}")
-        lines.insert(2, f"group_count={config.group_count}")
-        lines.insert(2, f"blocks={config.blocks}")
     for name, mean, sd in zip(
         output.param_names, output.draws.mean(axis=0), output.draws.std(axis=0, ddof=1)
     ):
@@ -342,7 +333,8 @@ def cmd_simulate(config_path: str) -> None:
 
 def cmd_periodogram(input_path: str, output_path: str, column: int = 0) -> None:
     data = series.demean(series.load_series(input_path, column=column))
-    spectral.save_periodogram(spectral.periodogram(data), output_path)
+    pgram = spectral.periodogram(data)
+    _write_csv(Path(output_path), ["omega", "ordinate"], [pgram.grid.omegas, pgram.ordinates])
     print(f"wrote {output_path}")
 
 
@@ -355,19 +347,17 @@ def cmd_fit(config_path: str) -> None:
     # that fails on the way leaves no files
     summary = "\n".join(_summary_lines(config, data, mode, output)) + "\n"
     curves = {
-        f"kde_{name}.csv": (["value", "density"], *diagnostics.kde_grid(column))
+        f"kde_{name}.csv": (["value", "density"], diagnostics.kde_grid(column))
         for name, column in zip(output.param_names, output.draws.T)
     }
-    log_spec = diagnostics.posterior_mean_spectrum(
-        _thinned(output.draws), config.model, data.periodogram.grid
-    )
-    curves["spectrum.csv"] = (["omega", "mean_log_density"], data.periodogram.grid.omegas, log_spec)
+    grid = data.periodogram.grid
+    log_spec = diagnostics.posterior_mean_spectrum(_thinned(output.draws), config.model, grid)
+    curves["spectrum.csv"] = (["omega", "mean_log_density"], (grid.omegas, log_spec))
 
-    rows = ([_fmt(v) for v in row] for row in output.draws)
-    _write_csv(out / "draws.csv", output.param_names, rows)
+    _write_csv(out / "draws.csv", output.param_names, output.draws.T)
     (out / "summary.txt").write_text(summary)
-    for filename, (header, xs, ys) in curves.items():
-        _write_csv(out / filename, header, ([_fmt(a), _fmt(b)] for a, b in zip(xs, ys)))
+    for filename, (header, columns) in curves.items():
+        _write_csv(out / filename, header, columns)
     print(f"wrote artifacts to {out}")
 
 
@@ -410,21 +400,11 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
     _write_efficiency(out / "efficiency_baseline.csv", report_full, np.ones(len(rct)))
     mean_f, sd_f = out_full.draws.mean(axis=0), out_full.draws.std(axis=0, ddof=1)
     mean_s, sd_s = out_sub.draws.mean(axis=0), out_sub.draws.std(axis=0, ddof=1)
+    gap = np.abs(mean_s - mean_f) / sd_f
     _write_csv(
         out / "agreement.csv",
         ["parameter", "mean_full", "mean_sub", "sd_full", "sd_sub", "mean_gap_in_sd", "sd_ratio"],
-        (
-            [
-                name,
-                _fmt(mean_f[j]),
-                _fmt(mean_s[j]),
-                _fmt(sd_f[j]),
-                _fmt(sd_s[j]),
-                _fmt(abs(mean_s[j] - mean_f[j]) / sd_f[j]),
-                _fmt(sd_s[j] / sd_f[j]),
-            ]
-            for j, name in enumerate(out_full.param_names)
-        ),
+        [out_full.param_names, mean_f, mean_s, sd_f, sd_s, gap, sd_s / sd_f],
     )
     print(f"wrote comparison to {out}")
 

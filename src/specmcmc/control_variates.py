@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .models import ParameterRangeError
 from .whittle import GroupIndex, grad_hess
@@ -128,11 +127,6 @@ class WeightingDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.mean + rng.standard_normal((size, self.dim)) @ self._chol.T
-
-    def logpdf(self, x) -> float:
-        resid = solve_triangular(self._chol, np.asarray(x, dtype=float) - self.mean, lower=True)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-        return -0.5 * (self.dim * math.log(2.0 * math.pi) + log_det + float(resid @ resid))
 
 
 def laplace_weighting(mode, hess_log_posterior) -> WeightingDistribution:

@@ -387,22 +387,12 @@ def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray |
     return dens if np.ndim(omega) else float(dens[0])
 
 
-@dataclass(frozen=True)
-class PriorHyperparams:
-    """Gaussian prior settings for the non-uniform coordinates.
-
-    Each pair is (mean, standard deviation) on the scale the sampler sees:
-    log sigma2, log lambda, the memory coordinate (d_tilde or d), and
-    log sigma2_eps.  AR and MA coordinates always get the flat-on-pacf prior.
-    """
-
-    log_sigma2: tuple[float, float] = (0.0, 1.0)
-    log_lambda: tuple[float, float] = (0.0, 1.0)
-    memory: tuple[float, float] = (0.0, 1.0)
-    log_sigma2_eps: tuple[float, float] = (0.0, 0.1)
-
-
-DEFAULT_PRIORS = PriorHyperparams()
+# Gaussian priors, (mean, standard deviation), on the scale the sampler sees;
+# AR and MA coordinates get the flat-on-pacf prior instead.
+_PRIOR_MEMORY = (0.0, 1.0)  # d_tilde (ARFIMA) or d (ARTFIMA)
+_PRIOR_LOG_LAMBDA = (0.0, 1.0)
+_PRIOR_LOG_SIGMA2 = (0.0, 1.0)
+_PRIOR_LOG_SIGMA2_EPS = (0.0, 0.1)
 
 
 def _normal_logpdf(x: float, mean: float, sd: float) -> float:
@@ -410,12 +400,12 @@ def _normal_logpdf(x: float, mean: float, sd: float) -> float:
     return -0.5 * (z * z + LOG_TWO_PI) - math.log(sd)
 
 
-def log_prior(spec: ModelSpec, vector, hyper: PriorHyperparams = DEFAULT_PRIORS) -> float:
+def log_prior(spec: ModelSpec, vector) -> float:
     """Log prior density of an unconstrained vector.
 
     Uniform(-1, 1) on each partial autocorrelation, expressed in the
     unconstrained space through the tanh Jacobian; independent Gaussians on
-    the remaining coordinates as configured in ``hyper``.
+    the remaining coordinates, as set in the ``_PRIOR_*`` constants.
     """
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (spec.n_params,):
@@ -427,13 +417,13 @@ def log_prior(spec: ModelSpec, vector, hyper: PriorHyperparams = DEFAULT_PRIORS)
     total = float(np.sum(-2.0 * (size + np.log1p(np.exp(-2.0 * size)) - math.log(2.0)) - math.log(2.0)))
     pos = q + p
     if spec.fractional in ("arfima", "artfima"):
-        total += _normal_logpdf(vector[pos], *hyper.memory)
+        total += _normal_logpdf(vector[pos], *_PRIOR_MEMORY)
         pos += 1
     if spec.fractional == "artfima":
-        total += _normal_logpdf(vector[pos], *hyper.log_lambda)
+        total += _normal_logpdf(vector[pos], *_PRIOR_LOG_LAMBDA)
         pos += 1
-    total += _normal_logpdf(vector[pos], *hyper.log_sigma2)
+    total += _normal_logpdf(vector[pos], *_PRIOR_LOG_SIGMA2)
     pos += 1
     if spec.sv_wrapper:
-        total += _normal_logpdf(vector[pos], *hyper.log_sigma2_eps)
+        total += _normal_logpdf(vector[pos], *_PRIOR_LOG_SIGMA2_EPS)
     return total

@@ -149,7 +149,7 @@ class ModeResult:
         return np.linalg.inv(-self.hessian)
 
 
-def find_mode(data, log_prior_fn, theta0, max_iter: int = 1000) -> ModeResult:
+def find_mode(data, log_prior_fn, theta0) -> ModeResult:
     """Maximize the log posterior by quasi-Newton ascent.
 
     Each BFGS evaluation is one pass over the data,
@@ -184,7 +184,7 @@ def find_mode(data, log_prior_fn, theta0, max_iter: int = 1000) -> ModeResult:
         theta0,
         jac=True,
         method="BFGS",
-        options={"gtol": 1e-9, "maxiter": max_iter},
+        options={"gtol": 1e-9, "maxiter": 1000},
     )
     mode = np.asarray(result.x, dtype=float)
     value, grad, hessian = taylor_coefficients(log_post, mode)
@@ -262,23 +262,27 @@ def _metropolis(data, log_prior_fn, settings, mode, estimate, start, refresh, se
     trace = np.empty(settings.iterations)
     accepted = 0
     block = 0
-    for it in range(total):
-        proposal = theta + factor @ rng_chain.standard_normal(dim)
-        sub_prop = refresh(sub, block, rng_sub)
-        block = (block + 1) % settings.n_blocks
-        try:
-            est_prop = estimate(proposal, sub_prop)
-        except ParameterRangeError:
-            est_prop = _OUT_OF_RANGE
-        pri_prop = log_prior_fn(proposal)
-        evals += est_prop.density_evals
-        log_ratio = (debias(est_prop) + pri_prop) - (debias(current) + log_pri)
-        if math.log(rng_chain.random()) < log_ratio:
-            theta, sub, current, log_pri = proposal, sub_prop, est_prop, pri_prop
-            accepted += 1
-        if it >= settings.burn_in:
-            draws[it - settings.burn_in] = theta
-            trace[it - settings.burn_in] = current.ell_hat
+    # a proposal far out in log sigma2 overflows the density to inf, which
+    # gives a log target of -inf, a clean rejection; entered once per chain,
+    # since errstate costs microseconds
+    with np.errstate(over="ignore"):
+        for it in range(total):
+            proposal = theta + factor @ rng_chain.standard_normal(dim)
+            sub_prop = refresh(sub, block, rng_sub)
+            block = (block + 1) % settings.n_blocks
+            try:
+                est_prop = estimate(proposal, sub_prop)
+            except ParameterRangeError:
+                est_prop = _OUT_OF_RANGE
+            pri_prop = log_prior_fn(proposal)
+            evals += est_prop.density_evals
+            log_ratio = (debias(est_prop) + pri_prop) - (debias(current) + log_pri)
+            if math.log(rng_chain.random()) < log_ratio:
+                theta, sub, current, log_pri = proposal, sub_prop, est_prop, pri_prop
+                accepted += 1
+            if it >= settings.burn_in:
+                draws[it - settings.burn_in] = theta
+                trace[it - settings.burn_in] = current.ell_hat
     model = getattr(data, "model", None)
     names = model.param_names() if model is not None else tuple(f"x{i}" for i in range(dim))
     return ChainOutput(

@@ -95,15 +95,15 @@ def demean(series: TimeSeries) -> TimeSeries:
     return TimeSeries(series.values - series.values.mean(), demeaned=True)
 
 
-def log_square_transform(series: TimeSeries, epsilon: float = 1e-300) -> TimeSeries:
+def log_square_transform(series: TimeSeries) -> TimeSeries:
     """Map returns to log squared returns, then demean.
 
-    Squares below ``epsilon`` are floored before the log so exact zeros stay
+    Squares below 1e-300 are floored before the log so exact zeros stay
     finite.  The additive mean of the latent log-volatility is absorbed by the
     demean step, which is why no location parameter appears in the volatility
     model itself.
     """
-    squares = np.maximum(series.values**2, epsilon)
+    squares = np.maximum(series.values**2, 1e-300)
     return demean(TimeSeries(np.log(squares)))
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,13 +76,3 @@ def periodogram(series: TimeSeries) -> Periodogram:
     coeffs = np.fft.rfft(series.values)[1 : grid.n_freq + 1]
     ordinates = (coeffs.real**2 + coeffs.imag**2) / (2.0 * np.pi * series.n_time)
     return Periodogram(grid, ordinates)
-
-
-def save_periodogram(pgram: Periodogram, path: str | Path) -> None:
-    """Write (omega, ordinate) rows as CSV with a header."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["omega", "ordinate"])
-        for omega, ordinate in zip(pgram.grid.omegas, pgram.ordinates):
-            # repr of a Python float is the shortest exact representation
-            writer.writerow([repr(float(omega)), repr(float(ordinate))])

@@ -133,11 +133,6 @@ def full_loglik(data, theta) -> float:
     return float(np.sum(data.terms(theta)))
 
 
-def group_logliks(data, g: GroupIndex, theta) -> np.ndarray:
-    """All group contributions in one pass over the frequencies."""
-    return g.sums(data.terms(theta))
-
-
 def fd_steps(x: np.ndarray) -> np.ndarray:
     """Central-difference steps h_j = max(1e-5, 1e-7 * |x_j|)."""
     return np.maximum(1e-5, 1e-7 * np.abs(x))
@@ -211,4 +206,4 @@ def grad_hess(data, g: GroupIndex, theta_star):
     (n_groups, dim, dim); each stencil point costs one pass over all
     frequencies regardless of the number of groups.
     """
-    return taylor_coefficients(lambda v: group_logliks(data, g, v), np.asarray(theta_star, dtype=float))
+    return taylor_coefficients(lambda v: g.sums(data.terms(v)), np.asarray(theta_star, dtype=float))

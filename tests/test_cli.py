@@ -1,6 +1,7 @@
 """Config parsing, the four subcommands, and reproducible artifacts."""
 
 import csv
+import dataclasses
 import re
 import textwrap
 from pathlib import Path
@@ -9,16 +10,58 @@ import numpy as np
 import pytest
 
 import specmcmc as sm
-from specmcmc.cli import ConfigError, ExperimentConfig, load_config, main, save_config
+from specmcmc.cli import _KEYS, ConfigError, _write_csv, ExperimentConfig, load_config, main
 
 
-def test_config_round_trip(tmp_path):
-    config = ExperimentConfig(
+def test_load_config_reads_every_key(tmp_path):
+    # every key in _KEYS, each set away from its default; a blank path is
+    # the empty string, which names no file
+    path = write_ini(
+        tmp_path / "every.ini",
+        """
+        [data]
+        source = simulate
+        path =
+        column = 2
+        phi = 0.5, -0.25
+        theta = 0.125
+        sigma2 = 2.5
+        n_time = 1000
+        log_squares = true
+
+        [model]
+        family = artfima
+        ar_order = 2
+        ma_order = 1
+        sv_wrapper = yes
+
+        [sampler]
+        method = subsample
+        cv = coreset
+        group_count = 50
+        m_percent = 4
+        blocks = 5
+        coreset_size = 20
+        projections = 100
+        iterations = 2000
+        burn_in = 200
+        proposal_scale = 0.75
+        seed = 42
+
+        [output]
+        directory = out%%x
+        """,
+    )
+    config = load_config(path)
+    assert config == ExperimentConfig(
         source="simulate",
+        path="",
+        column=2,
         phi=(0.5, -0.25),
         theta=(0.125,),
         sigma2=2.5,
         n_time=1000,
+        log_squares=True,
         family="artfima",
         ar_order=2,
         ma_order=1,
@@ -34,18 +77,15 @@ def test_config_round_trip(tmp_path):
         burn_in=200,
         proposal_scale=0.75,
         seed=42,
-        directory=str(tmp_path / "out"),
+        directory="out%x",
     )
-    path = tmp_path / "config.ini"
-    save_config(config, path)
-    assert load_config(path) == config
+    keys = [key for section in _KEYS.values() for key in section]
+    assert keys == [field.name for field in dataclasses.fields(ExperimentConfig)]
+    assert all(getattr(config, f.name) != f.default for f in dataclasses.fields(config))
 
-
-def test_config_defaults_round_trip(tmp_path):
-    config = ExperimentConfig(path="series.csv")
-    path = tmp_path / "config.ini"
-    save_config(config, path)
-    assert load_config(path) == config
+    blank = Path(path).read_text().replace("proposal_scale = 0.75", "proposal_scale =")
+    Path(path).write_text(blank)
+    assert load_config(path).proposal_scale is None
 
 
 @pytest.mark.parametrize(
@@ -148,6 +188,20 @@ def test_simulate_and_periodogram_commands(tmp_path, capsys):
     pgram = sm.periodogram(ts)
     np.testing.assert_array_equal([float(r[1]) for r in rows], pgram.ordinates)
     np.testing.assert_array_equal([float(r[0]) for r in rows], pgram.grid.omegas)
+
+
+def test_csv_writer_writes_floats_as_repr(tmp_path):
+    # every float file's bytes rest on this: the text of a float is its repr
+    values = [-0.0, 5e-324, 1e16, 1 / 3, float("nan"), float("inf"), float("-inf")]
+    path = tmp_path / "floats.csv"
+    _write_csv(path, ["value", "index"], [np.array(values), np.arange(len(values))])
+    lines = path.read_text().splitlines()
+    assert lines == ["value,index"] + [f"{float(v)!r},{i}" for i, v in enumerate(values)]
+    # a column longer than one block of rows is written whole, in order
+    column = np.arange(10_000) / 7.0
+    _write_csv(path, ["value"], [column])
+    _, rows = read_csv(path)
+    np.testing.assert_array_equal([float(r[0]) for r in rows], column)
 
 
 def fit_config(tmp_path, outdir, method="full", extra=""):

@@ -79,11 +79,6 @@ def test_laplace_weighting_matches_curvature():
     mode = np.array([0.5, -1.0])
     wd = sm.laplace_weighting(mode, hessian)
     np.testing.assert_allclose(wd.cov, np.linalg.inv(-hessian))
-    # log density at the mode: -(dim / 2) log(2 pi) - log det(cov) / 2
-    sign, logdet = np.linalg.slogdet(wd.cov)
-    assert sign > 0
-    expected = -np.log(2 * np.pi) - 0.5 * logdet
-    assert wd.logpdf(mode) == pytest.approx(expected, rel=1e-12)
 
 
 def test_laplace_weighting_rejects_indefinite():
@@ -264,7 +259,7 @@ def test_coreset_approximates_group_totals_near_mode(arma11_data):
     cv = sm.build_coreset_cv(data, groups, wd, m_iter=40, n_projections=200, seed=2)
     rng = np.random.default_rng(3)
     theta = mode.theta + (wd.sample(rng, 1)[0] - wd.mean)
-    exact = sm.group_logliks(data, groups, theta)
+    exact = groups.sums(data.terms(theta))
     approx = cv.group_values(data, theta, np.arange(40))
     # a generous budget should track every group total closely
     assert np.max(np.abs(approx - exact)) < 0.2

@@ -276,12 +276,6 @@ def test_log_prior_pacf_jacobian():
     assert total == pytest.approx(1.0, rel=1e-6)
 
 
-def test_prior_hyperparams_override():
-    spec = sm.ModelSpec(0, 0)
-    wide = sm.PriorHyperparams(log_sigma2=(0.0, 10.0))
-    assert sm.log_prior(spec, np.array([3.0]), wide) > sm.log_prior(spec, np.array([3.0]))
-
-
 def tanh_form_log_prior(spec, vector):
     """The earlier log prior: log(0.5 * (1 - tanh(v)^2)) on the PACF coordinates."""
     block = vector[: spec.ar_order + spec.ma_order]

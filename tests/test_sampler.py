@@ -402,3 +402,18 @@ def test_find_mode_backs_off_from_out_of_range_trial_points():
     mode = sm.find_mode(walled, lambda v: 0.0, stub.center - 0.6)
     assert walled.hits
     assert mode.theta[0] == pytest.approx(stub.total_mode()[0], abs=1e-8)
+
+
+def test_full_chain_rejects_overflowing_proposals_without_warning():
+    # at proposal scale 1e8 some proposals put log sigma2 just below +709,
+    # where exp is finite but the density overflows to inf; their log target
+    # is -inf, and the suite's RuntimeWarning filter would turn a warning
+    # from that overflow into an error
+    spec = sm.ModelSpec(1, 0)
+    ts = sm.demean(sm.simulate_arma([0.4], [], 1.0, 512, seed=11))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=spec)
+    log_prior_fn = lambda v: sm.log_prior(spec, v)
+    mode = sm.find_mode(data, log_prior_fn, np.zeros(2))
+    settings = sm.ChainSettings(iterations=400, burn_in=100, seed=11, proposal_scale=1e8)
+    out = sm.run_full_chain(data, log_prior_fn, settings, mode)
+    assert np.all(np.isfinite(out.draws)) and np.all(np.isfinite(out.loglik_trace))

@@ -1,6 +1,5 @@
 """Frequency grid, DFT convention, and periodogram properties."""
 
-import csv
 import math
 
 import numpy as np
@@ -94,17 +93,3 @@ def test_periodogram_invariants():
         pgram = sm.periodogram(ts)
         assert pgram.ordinates.size == (n - 1) // 2
         assert np.all(pgram.ordinates >= 0)
-
-
-def test_save_periodogram_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    ts = sm.demean(sm.TimeSeries(rng.normal(size=32)))
-    pgram = sm.periodogram(ts)
-    path = tmp_path / "pgram.csv"
-    sm.save_periodogram(pgram, path)
-    with open(path) as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["omega", "ordinate"]
-    back = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    np.testing.assert_array_equal(back[:, 0], pgram.grid.omegas)
-    np.testing.assert_array_equal(back[:, 1], pgram.ordinates)

@@ -53,7 +53,7 @@ def test_group_logliks_add_up(sizes, seed):
     theta = stub.center + rng.normal(size=2)
     terms = stub.terms(theta)
     groups = sm.make_groups(n_freq, n_groups)
-    parts = sm.group_logliks(stub, groups, theta)
+    parts = groups.sums(stub.terms(theta))
     # each group accumulated term by term in ascending frequency order
     oracle = np.bincount(np.arange(n_freq) % n_groups, weights=terms, minlength=n_groups)
     # the terms can cancel to a sum near zero, so rounding is measured
