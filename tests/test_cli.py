@@ -13,7 +13,22 @@ import specmcmc as sm
 from specmcmc.cli import _KEYS, ConfigError, _write_csv, ExperimentConfig, load_config, main
 
 
-def test_load_config_reads_every_key(tmp_path):
+def ini_text(config):
+    """The INI text of ``config``, every key of ``_KEYS`` written out."""
+    def text(value):
+        if value is None:
+            return ""
+        if isinstance(value, tuple):
+            return ", ".join(repr(v) for v in value)
+        return str(value).replace("%", "%%")
+
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {text(getattr(config, key))}\n" for key in keys)
+        for name, keys in _KEYS.items()
+    )
+
+
+def test_config_round_trip(tmp_path):
     # every key in _KEYS, each set away from its default; a blank path is
     # the empty string, which names no file
     path = write_ini(
@@ -86,6 +101,17 @@ def test_load_config_reads_every_key(tmp_path):
     blank = Path(path).read_text().replace("proposal_scale = 0.75", "proposal_scale =")
     Path(path).write_text(blank)
     assert load_config(path).proposal_scale is None
+
+    written = write_ini(tmp_path / "written.ini", ini_text(config))
+    assert load_config(written) == config
+
+
+def test_config_defaults_round_trip(tmp_path):
+    config = ExperimentConfig(path="series.csv")
+    path = write_ini(tmp_path / "config.ini", ini_text(config))
+    assert load_config(path) == config
+    # a file naming only the series takes every other default
+    assert load_config(write_ini(tmp_path / "short.ini", "[data]\npath = series.csv\n")) == config
 
 
 @pytest.mark.parametrize(
