@@ -55,7 +55,7 @@ from .sampler import (
     run_pm_chain,
 )
 from .series import TimeSeries, demean, load_series, log_square_transform, simulate_arma
-from .spectral import FrequencyGrid, Periodogram, dft, periodogram
+from .spectral import FrequencyGrid, Periodogram, periodogram
 from .whittle import GroupIndex, WhittleData, fd_gradient, full_loglik, grad_hess
 
 __all__ = [name for name in dir() if not name.startswith("_")]

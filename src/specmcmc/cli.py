@@ -262,6 +262,11 @@ def _run_chain(config: ExperimentConfig, data, log_prior_fn, mode) -> sampler.Ch
     )
     if config.method == "full":
         return sampler.run_full_chain(data, log_prior_fn, settings, mode)
+    if config.group_count > data.n_freq:
+        raise ConfigError(
+            f"group_count = {config.group_count} exceeds n_freq = {data.n_freq}, "
+            "the number of frequencies in the data"
+        )
     groups = cvs.make_groups(data.n_freq, config.group_count)
     if config.cv == "none":
         variate = cvs.ZeroCV()

@@ -80,7 +80,7 @@ class TaylorCV:
 
 
 def build_taylor_cv(data, g: GroupIndex, theta_star) -> TaylorCV:
-    """Expand every group around ``theta_star`` with central differences.
+    """Expand every group around ``theta_star`` to second order (``whittle.grad_hess``).
 
     The one-off sweep that evaluates the expansion terms is charged as
     ``n_freq`` density evaluations, matching how chains account for it.

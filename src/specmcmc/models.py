@@ -308,14 +308,18 @@ def density_from_trig(
 
 
 def log_density_score(
-    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, work
+    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, work, total, dot
 ) -> np.ndarray:
     """sum_k weights_k * grad log f(omega_k), the gradient in the unconstrained vector.
 
     ``nat`` decodes ``vector`` and ``dens`` is :func:`density_from_trig` of it
     at the table's columns.  ``weights``, ``dens`` and the (3, n) scratch
-    ``work`` are overwritten.  Every block is contracted over the frequencies
-    as it is formed, so no (dim, n) array is built:
+    ``work`` are overwritten.  Every sum over the frequencies goes through
+    ``total(x)`` and every weighted sum through ``dot(a, b)``, both along the
+    last axis: ``np.sum`` and ``np.matmul`` give the gradient of the whole
+    sum, shape (dim,), and per-group sums give one gradient per group, shape
+    (n_groups, dim).  Every block is contracted as it is formed, so no
+    (dim, n) array is built:
 
     - AR and MA: for 1 + sum_j c_j exp(-i*j*omega) with parts re, im from
       :func:`_circle_parts` and power P, d log P / d c_j = 2 (re cos j*omega +
@@ -335,13 +339,14 @@ def log_density_score(
     order = (trig.shape[0] - 1) // 2
     cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
     vector = np.asarray(vector, dtype=float)
-    grad = np.empty(spec.n_params)
     if spec.sv_wrapper:
         # weights * c/f, then weights * (1 - c/f) for the base density
         np.divide(nat.sigma2_eps / (2.0 * np.pi), dens, out=dens)
         dens *= weights
-        grad[-1] = float(np.sum(dens))
+        noise_score = total(dens)
         weights -= dens
+    scale_score = total(weights)
+    grad = np.empty(np.shape(scale_score) + (spec.n_params,))
     q, p = spec.ar_order, spec.ma_order
     re, im, power = work[0], work[1], work[2]
     for start, size, coef, pacf_sign in ((0, q, -nat.phi, 1.0), (q, p, nat.theta, -1.0)):
@@ -353,11 +358,11 @@ def log_density_score(
         np.divide(weights, power, out=power)
         re *= power
         im *= power
-        by_coef = 2.0 * (cos[:size] @ re + sin[:size] @ im)
+        by_coef = 2.0 * (dot(cos[:size], re) + dot(sin[:size], im))
         # phi = pacf_to_ar(tanh x); theta = -pacf_to_ar(-tanh x), whose signs cancel
         block = vector[start : start + size]
         jac = _pacf_to_ar_jacobian(pacf_sign * np.tanh(block))
-        grad[start : start + size] = (by_coef @ jac) * _sech2(block)
+        grad[..., start : start + size] = (by_coef.T @ jac) * _sech2(block)
     pos = q + p
     if spec.fractional != "none":
         lam = nat.lambda_ if nat.lambda_ is not None else 0.0
@@ -366,14 +371,16 @@ def log_density_score(
         temper += math.expm1(-lam) ** 2
         if spec.fractional == "artfima":
             per_temper = np.divide(weights, temper, out=work[1])
-            slope = -2.0 * math.expm1(-lam) * damp * float(np.sum(per_temper))
-            slope -= 4.0 * damp * float(per_temper @ half_sin2)  # sum_k w_k T'_k / T_k
-            grad[pos + 1] = -nat.d * lam * slope
-        grad[pos] = -float(weights @ np.log(temper, out=temper))
+            slope = -2.0 * math.expm1(-lam) * damp * total(per_temper)
+            slope -= 4.0 * damp * dot(per_temper, half_sin2)  # sum_k w_k T'_k / T_k
+            grad[..., pos + 1] = -nat.d * lam * slope
+        grad[..., pos] = -dot(weights, np.log(temper, out=temper))
         if spec.fractional == "arfima":
-            grad[pos] *= 0.5 * _sech2(vector[pos])
+            grad[..., pos] *= 0.5 * _sech2(vector[pos])
         pos += 1 if spec.fractional == "arfima" else 2
-    grad[pos] = float(np.sum(weights))
+    grad[..., pos] = scale_score
+    if spec.sv_wrapper:
+        grad[..., pos + 1] = noise_score
     return grad
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .models import ParameterRangeError
-from .whittle import GroupIndex, fd_gradient, full_loglik, taylor_coefficients
+from .whittle import GroupIndex, fd_gradient, full_loglik
 
 
 @dataclass(frozen=True)
@@ -157,27 +157,27 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
     gradient; the prior's gradient is a central difference.  A trial point
     outside the model's range (``ParameterRangeError``, or a log posterior
     that is not finite) has objective +inf, so the line search backs off
-    from it.  The value, gradient and curvature at the optimum come from one
-    central-difference stencil (``taylor_coefficients``).  Exits only if the
-    stencil's gradient norm is below 1e-5 * (1 + |log posterior|); a
-    curvature that is not negative definite at the optimum is an error
-    rather than something to patch over.
+    from it.  At the optimum the value and gradient come from the same
+    pass, and the curvature is the symmetrized central difference of that
+    gradient, 2 * dim more passes.  Exits only if the gradient norm is below
+    1e-5 * (1 + |log posterior|); a curvature that is not negative definite
+    at the optimum is an error rather than something to patch over.
     """
     theta0 = np.asarray(theta0, dtype=float)
 
-    def log_post(v):
-        return full_loglik(data, v) + log_prior_fn(v)
+    def log_post_and_grad(v):
+        loglik, score = data.loglik_and_score(v)
+        return loglik + log_prior_fn(v), score + fd_gradient(log_prior_fn, v)
 
     def objective(v):
         try:
             with np.errstate(all="ignore"):
-                loglik, score = data.loglik_and_score(v)
+                value, grad = log_post_and_grad(v)
         except ParameterRangeError:
             return math.inf, np.zeros_like(v)
-        value = loglik + log_prior_fn(v)
-        if not (math.isfinite(value) and np.all(np.isfinite(score))):
+        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
             return math.inf, np.zeros_like(v)
-        return -value, -(score + fd_gradient(log_prior_fn, v))
+        return -value, -grad
 
     result = minimize(
         objective,
@@ -187,10 +187,12 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
         options={"gtol": 1e-9, "maxiter": 1000},
     )
     mode = np.asarray(result.x, dtype=float)
-    value, grad, hessian = taylor_coefficients(log_post, mode)
+    value, grad = log_post_and_grad(mode)
     grad_norm = float(np.linalg.norm(grad))
     if not grad_norm < 1e-5 * (1.0 + abs(value)):
         raise ValueError(f"mode search did not converge: |grad| = {grad_norm:.3e}")
+    hessian = fd_gradient(lambda v: log_post_and_grad(v)[1], mode)
+    hessian = 0.5 * (hessian + hessian.T)
     try:
         np.linalg.cholesky(-hessian)
     except np.linalg.LinAlgError as exc:

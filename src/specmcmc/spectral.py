@@ -1,15 +1,12 @@
-"""Fourier frequencies, the DFT convention used throughout, and periodograms."""
+"""Fourier frequencies and the periodogram."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import TimeSeries
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -53,19 +50,11 @@ class Periodogram:
         object.__setattr__(self, "ordinates", ordinates)
 
 
-def dft(series: TimeSeries, omega: float) -> complex:
-    """Discrete Fourier transform at a single frequency.
-
-    J(omega) = (2*pi)^(-1/2) * sum_{t=1..n} x_t exp(-i*omega*t), with the sum
-    indexed from t = 1.  Direct O(n) evaluation; the periodogram uses the FFT
-    instead, which agrees in modulus.
-    """
-    t = np.arange(1, series.n_time + 1)
-    return complex(np.sum(series.values * np.exp(-1j * omega * t)) / SQRT_TWO_PI)
-
-
 def periodogram(series: TimeSeries) -> Periodogram:
     """Periodogram I(omega_k) = |J(omega_k)|^2 / n over the positive grid.
+
+    J(omega) = (2*pi)^(-1/2) * sum_{t=1..n} x_t exp(-i*omega*t); the FFT
+    indexes from t = 0, which changes only the phase of J.
 
     Requires a demeaned series; the k = 0 ordinate would otherwise carry the
     sample mean.  No padding or tapering is applied.

@@ -4,8 +4,9 @@ The likelihood is a sum of per-frequency terms -(log f(omega_k) + I_k /
 f(omega_k)), with f from the real-valued density kernel in ``models``.
 Everything downstream (subsampling, control variates) only needs the ability
 to evaluate those terms on an arbitrary index subset, so that is the
-interface ``WhittleData`` exposes; test doubles with the same ``terms``
-method can stand in for it.
+interface ``WhittleData`` exposes, beside the exact gradient of the whole
+or grouped sum (``loglik_and_score``); test doubles with the same two methods
+can stand in for it.
 
 Frequencies are grouped by stride.  ``GroupIndex`` is the pair (n_freq,
 n_groups) and the one place that knows the layout: the members of picked
@@ -63,26 +64,36 @@ class WhittleData:
         dens += ratio
         return np.negative(dens, out=dens)
 
-    def loglik_and_score(self, theta) -> tuple[float, np.ndarray]:
+    def loglik_and_score(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood and its gradient in theta, from one pass.
 
-        The value equals ``full_loglik`` bit for bit.  The gradient is the
-        exact sum_k (I_k/f_k - 1) grad log f_k (``models.log_density_score``),
-        at the cost of about two more passes of arithmetic, where a central
-        difference costs 2 * dim whole passes.
+        Without ``groups`` the value equals ``full_loglik`` bit for bit and the
+        gradient is the exact sum_k (I_k/f_k - 1) grad log f_k
+        (``models.log_density_score``), at the cost of about two more passes
+        of arithmetic, where a central difference costs 2 * dim whole passes.
+        With a ``GroupIndex`` both are per group: values of shape (n_groups,),
+        equal bit for bit to ``groups.sums(terms(theta))``, and gradients of
+        shape (n_groups, dim).
         """
+        if groups is None:
+            total, dot = np.sum, np.matmul
+        else:
+            total, dot = groups.sums, lambda a, b: groups.sums(a * b)
         nat = to_natural(self.model, theta)
         n = self.n_freq
         work = np.empty((4, n))
         dens = density_from_trig(self.model, nat, self._trig, np.empty(n), work[:2])
         weights = np.divide(self.periodogram.ordinates, dens, out=work[3])
-        # the terms negated: summation is symmetric in sign, so this is -full_loglik exactly
+        # the terms negated: summation is symmetric in sign, so negating the
+        # sums gives the sums of the terms exactly
         minus_terms = np.log(dens, out=work[0])
         minus_terms += weights
-        value = -float(np.sum(minus_terms))
+        value = -total(minus_terms)
         weights -= 1.0
-        score = log_density_score(self.model, theta, nat, self._trig, weights, dens, work[:3])
-        return value, score
+        score = log_density_score(
+            self.model, theta, nat, self._trig, weights, dens, work[:3], total, dot
+        )
+        return (float(value) if groups is None else value), score
 
 
 @dataclass(frozen=True)
@@ -117,14 +128,16 @@ class GroupIndex:
         return grid[grid < self.n_freq], list(accumulate(sizes, initial=0))
 
     def sums(self, terms: np.ndarray) -> np.ndarray:
-        """Per-group sums of a full term vector, each added in ascending frequency order.
+        """Per-group sums along the last (frequency) axis, each added in ascending frequency order.
 
-        A single group is one column, which numpy sums pairwise, so its sum
+        A (..., n_freq) array gives (..., n_groups).  A single group of a
+        term vector is one column, which numpy sums pairwise, so its sum
         equals ``full_loglik``'s.
         """
         full = self.n_freq - self.n_freq % self.n_groups
-        out = terms[:full].reshape(-1, self.n_groups).sum(axis=0)
-        out[: self.n_freq - full] += terms[full:]
+        lead = terms.shape[:-1]
+        out = terms[..., :full].reshape(lead + (-1, self.n_groups)).sum(axis=-2)
+        out[..., : self.n_freq - full] += terms[..., full:]
         return out
 
 
@@ -133,77 +146,37 @@ def full_loglik(data, theta) -> float:
     return float(np.sum(data.terms(theta)))
 
 
-def fd_steps(x: np.ndarray) -> np.ndarray:
-    """Central-difference steps h_j = max(1e-5, 1e-7 * |x_j|)."""
-    return np.maximum(1e-5, 1e-7 * np.abs(x))
-
-
-def _checked(fun, x) -> np.ndarray:
-    out = np.asarray(fun(np.asarray(x, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite objective in difference stencil at {x!r}")
-    return out
-
-
-def _axial(fun, x: np.ndarray, h: np.ndarray):
-    """Axial stencil values at x +- h_j e_j and the central-difference gradient."""
-    plus, minus = [], []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h[j]
-        plus.append(_checked(fun, x + e))
-        minus.append(_checked(fun, x - e))
-    grad = np.stack([(plus[j] - minus[j]) / (2.0 * h[j]) for j in range(x.size)], axis=-1)
-    return plus, minus, grad
-
-
 def fd_gradient(fun, x) -> np.ndarray:
     """Central-difference gradient of a scalar- or vector-valued function.
 
-    For vector-valued ``fun`` the derivative axis is appended last.
-    """
-    x = np.asarray(x, dtype=float)
-    return _axial(fun, x, fd_steps(x))[2]
-
-
-def taylor_coefficients(fun, x):
-    """Value, gradient, and symmetrized Hessian by central differences.
-
-    Shares the axial stencil between the gradient and the Hessian diagonal,
-    so the gradient equals ``fd_gradient`` bit for bit; off-diagonal entries
-    use the four-point cross stencil.  Raises if any stencil evaluation is
+    Steps are h_j = max(1e-5, 1e-7 * |x_j|).  For vector-valued ``fun`` the
+    derivative axis is appended last.  Raises if any stencil evaluation is
     non-finite.
     """
     x = np.asarray(x, dtype=float)
-    dim = x.size
-    h = fd_steps(x)
-    f0 = _checked(fun, x)
-    plus, minus, grad = _axial(fun, x, h)
-    hess = np.zeros(f0.shape + (dim, dim))
-    for j in range(dim):
-        hess[..., j, j] = (plus[j] - 2.0 * f0 + minus[j]) / h[j] ** 2
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros(dim)
-            e[i], e[j] = h[i], h[j]
-            ei = np.zeros(dim)
-            ei[i], ei[j] = h[i], -h[j]
-            cross = (
-                _checked(fun, x + e)
-                - _checked(fun, x + ei)
-                - _checked(fun, x - ei)
-                + _checked(fun, x - e)
-            ) / (4.0 * h[i] * h[j])
-            hess[..., i, j] = cross
-            hess[..., j, i] = cross
-    return f0, grad, hess
+    h = np.maximum(1e-5, 1e-7 * np.abs(x))
+    columns = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h[j]
+        plus = np.asarray(fun(x + e), dtype=float)
+        minus = np.asarray(fun(x - e), dtype=float)
+        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+            raise ValueError(f"non-finite objective in difference stencil around {x!r}")
+        columns.append((plus - minus) / (2.0 * h[j]))
+    return np.stack(columns, axis=-1)
 
 
 def grad_hess(data, g: GroupIndex, theta_star):
     """Per-group value, gradient, and Hessian of the log-likelihood.
 
     Returns arrays of shapes (n_groups,), (n_groups, dim) and
-    (n_groups, dim, dim); each stencil point costs one pass over all
-    frequencies regardless of the number of groups.
+    (n_groups, dim, dim).  Values and exact gradients come from one grouped
+    pass of ``data.loglik_and_score``; the Hessians are the symmetrized
+    central difference of those gradients, 2 * dim more passes.  Every pass
+    covers all frequencies regardless of the number of groups.
     """
-    return taylor_coefficients(lambda v: g.sums(data.terms(v)), np.asarray(theta_star, dtype=float))
+    theta_star = np.asarray(theta_star, dtype=float)
+    values, grads = data.loglik_and_score(theta_star, g)
+    hess = fd_gradient(lambda v: data.loglik_and_score(v, g)[1], theta_star)
+    return values, grads, 0.5 * (hess + np.swapaxes(hess, -1, -2))

@@ -53,10 +53,17 @@ class QuadraticTerms:
         quad = np.einsum("kij,i,j->k", hessians, delta, delta)
         return consts + grads @ delta + 0.5 * quad
 
-    def loglik_and_score(self, theta):
-        """Summed terms, as ``full_loglik`` gives them, and their gradient sum_i g_i + H_i delta."""
+    def loglik_and_score(self, theta, groups=None):
+        """Summed terms, as ``full_loglik`` gives them, and their gradient sum_i g_i + H_i delta.
+
+        With a ``GroupIndex`` both are per group, as ``groups.sums`` adds them.
+        """
         delta = np.asarray(theta, dtype=float) - self.center
-        return float(np.sum(self.terms(theta))), self.grads.sum(axis=0) + self.hessians.sum(axis=0) @ delta
+        terms = self.terms(theta)
+        if groups is None:
+            return float(np.sum(terms)), self.grads.sum(axis=0) + self.hessians.sum(axis=0) @ delta
+        per_term = self.grads + self.hessians @ delta
+        return groups.sums(terms), groups.sums(per_term.T).T
 
     def total_mode(self) -> np.ndarray:
         """Maximizer of the summed terms (flat prior)."""

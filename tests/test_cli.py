@@ -318,6 +318,19 @@ def test_fit_subsampled_chain(tmp_path):
     assert len(rows) == 400
 
 
+def test_fit_rejects_more_groups_than_frequencies(tmp_path, capsys):
+    # 512 points give 255 frequencies, too few for 500 groups; the error
+    # names the key rather than the group index's own range check
+    extra = """cv = taylor
+        group_count = 500"""
+    cfg = fit_config(tmp_path, "many_groups", method="subsample", extra=extra)
+    assert main(["fit", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "group_count = 500" in err and "n_freq = 255" in err
+    assert list((tmp_path / "many_groups").iterdir()) == []
+
+
 def test_fit_writes_nothing_when_a_density_grid_fails(tmp_path, capsys, monkeypatch):
     def refuse(samples, grid_size=512):
         raise ValueError("samples are constant; no density to estimate")

@@ -53,12 +53,13 @@ def test_taylor_cv_exact_on_quadratic():
     theta_star = stub.center + 0.05
     cv = sm.build_taylor_cv(stub, groups, theta_star)
     theta = theta_star + rng.normal(scale=0.5, size=3)
-    # exactness on a quadratic is limited only by difference-stencil roundoff
+    # the gradient of a quadratic is linear, so its central difference is
+    # exact up to roundoff and so is the expansion
     for k in range(6):
         exact = np.sum(stub.terms(theta, groups.groups[k]))
-        assert cv.group_values(stub, theta, [k])[0] == pytest.approx(exact, rel=1e-5, abs=1e-5)
+        assert cv.group_values(stub, theta, [k])[0] == pytest.approx(exact, rel=1e-9, abs=1e-9)
     assert cv.total(stub, theta) == pytest.approx(
-        sm.full_loglik(stub, theta), rel=1e-6, abs=1e-5
+        sm.full_loglik(stub, theta), rel=1e-9, abs=1e-9
     )
     assert cv.setup_evals == 30
     assert cv.eval_cost == 0

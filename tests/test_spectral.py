@@ -1,4 +1,4 @@
-"""Frequency grid, DFT convention, and periodogram properties."""
+"""Frequency grid and periodogram properties."""
 
 import math
 
@@ -33,13 +33,6 @@ def test_fourier_frequencies_excludes_endpoints():
 def test_fourier_frequencies_minimum_length():
     with pytest.raises(ValueError):
         sm.FrequencyGrid(3)
-
-
-def test_dft_unit_impulse():
-    ts = sm.TimeSeries(np.array([1.0, 0.0, 0.0, 0.0]))
-    value = sm.dft(ts, np.pi / 2)
-    expected = np.exp(-1j * np.pi / 2) / np.sqrt(2 * np.pi)
-    assert value == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("n_time", [5, 8, 33, 64])

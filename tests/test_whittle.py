@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specmcmc as sm
-from specmcmc.whittle import taylor_coefficients
 from conftest import make_quadratic_stub, specs_with_vectors
 
 
@@ -100,25 +99,22 @@ def test_taylor_coefficients_exact_on_quadratic():
         idx = groups.groups[k]
         h_sum = stub.hessians[idx].sum(axis=0)
         g_sum = stub.grads[idx].sum(axis=0)
-        np.testing.assert_allclose(grads[k], g_sum + h_sum @ delta, atol=1e-7)
-        # second differences lose about ten digits to cancellation
-        np.testing.assert_allclose(hessians[k], h_sum, atol=1e-4)
+        np.testing.assert_allclose(grads[k], g_sum + h_sum @ delta, atol=1e-12)
+        # the gradient is linear, so its central difference is exact up to roundoff
+        np.testing.assert_allclose(hessians[k], h_sum, atol=1e-9)
 
 
 def test_fd_gradient_and_hessian_scalar():
+    # f = sin(x) exp(y / 2); find_mode and grad_hess take the Hessian as the
+    # central difference of an exact gradient, with the derivative axis last
     fun = lambda v: math.sin(v[0]) * math.exp(0.5 * v[1])
+    exact_grad = lambda v: np.array([math.cos(v[0]), 0.5 * math.sin(v[0])]) * math.exp(0.5 * v[1])
     x = np.array([0.7, -0.3])
-    grad = sm.fd_gradient(fun, x)
-    expected = np.array(
-        [math.cos(0.7) * math.exp(-0.15), 0.5 * math.sin(0.7) * math.exp(-0.15)]
-    )
-    np.testing.assert_allclose(grad, expected, rtol=1e-8)
-    value, stencil_grad, hess = taylor_coefficients(fun, x)
-    # find_mode reads all three at the optimum from this one stencil
-    assert value == fun(x)
-    np.testing.assert_array_equal(stencil_grad, grad)
-    np.testing.assert_allclose(hess, hess.T)
-    assert hess[0, 0] == pytest.approx(-math.sin(0.7) * math.exp(-0.15), rel=1e-4)
+    np.testing.assert_allclose(sm.fd_gradient(fun, x), exact_grad(x), rtol=1e-8)
+    hess = sm.fd_gradient(exact_grad, x)
+    s, c = math.sin(0.7) * math.exp(-0.15), math.cos(0.7) * math.exp(-0.15)
+    expected = np.array([[-s, 0.5 * c], [0.5 * c, 0.25 * s]])
+    np.testing.assert_allclose(hess, expected, rtol=1e-9)
 
 
 def test_fd_rejects_non_finite_stencil():
@@ -159,13 +155,18 @@ SCORE_RTOL = 1e-6
 MIN_ROOT_DISTANCE = 0.05
 
 
-def central_score(data, theta, step=SCORE_STEP):
-    grad = np.empty(theta.size)
+def central_difference(fun, theta, step=SCORE_STEP):
+    """Central difference with one fixed step, the derivative axis last."""
+    columns = []
     for j in range(theta.size):
         e = np.zeros(theta.size)
         e[j] = step
-        grad[j] = (sm.full_loglik(data, theta + e) - sm.full_loglik(data, theta - e)) / (2 * step)
-    return grad
+        columns.append((fun(theta + e) - fun(theta - e)) / (2 * step))
+    return np.stack(columns, axis=-1)
+
+
+def central_score(data, theta, step=SCORE_STEP):
+    return central_difference(lambda v: sm.full_loglik(data, v), theta, step)
 
 
 def root_distance(nat) -> float:
@@ -189,8 +190,19 @@ def test_loglik_and_score_matches_central_differences(case):
     assume(root_distance(sm.to_natural(spec, theta)) >= MIN_ROOT_DISTANCE)
     value, score = data.loglik_and_score(theta)
     assert value == sm.full_loglik(data, theta)
-    tol = SCORE_RTOL * float(np.sum(np.abs(data.terms(theta))))
+    terms = data.terms(theta)
+    tol = SCORE_RTOL * float(np.sum(np.abs(terms)))
     np.testing.assert_allclose(score, central_score(data, theta), rtol=0, atol=tol)
+    # per group, for the Taylor variate: 7 groups leave 2 frequencies over
+    groups = sm.make_groups(data.n_freq, 7)
+    values, grads = data.loglik_and_score(theta, groups)
+    np.testing.assert_array_equal(values, groups.sums(terms))
+    assert grads.shape == (7, spec.n_params)
+    # regrouping the same per-frequency contributions only rounds differently
+    np.testing.assert_allclose(grads.sum(axis=0), score, rtol=0, atol=1e-3 * tol)
+    group_diffs = central_difference(lambda v: groups.sums(data.terms(v)), theta)
+    group_tol = SCORE_RTOL * groups.sums(np.abs(terms))
+    assert np.all(np.abs(grads - group_diffs) <= group_tol[:, None])
 
 
 def test_score_is_the_limit_of_differences_near_a_unit_root():
