@@ -93,7 +93,7 @@ class WhittleData:
         score = log_density_score(
             self.model, theta, nat, self._trig, weights, dens, work[:3], total, dot
         )
-        return (float(value) if groups is None else value), score
+        return value, score
 
 
 @dataclass(frozen=True)
