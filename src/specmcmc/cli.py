@@ -220,16 +220,17 @@ _CSV_BLOCK = 4096
 def _write_csv(path: Path, header, columns) -> None:
     """A header row, then row i holding entry i of every column.
 
-    ``csv`` writes a Python float as its ``repr``, the shortest text that
-    reads back to the same float.  Columns become Python objects one block
-    of rows at a time, which keeps the memory of a long column flat.
+    Fields are numbers, a float as its ``repr`` (the shortest text that reads
+    back to the same float), and names ``csv`` would not quote, so rows are
+    joined directly into ``csv.writer``'s bytes.  Columns become Python
+    objects one block of rows at a time, which keeps memory flat.
     """
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        csv.writer(handle).writerow(header)
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            writer.writerows(zip(*(c[start : start + _CSV_BLOCK].tolist() for c in columns)))
+            rows = zip(*(c[start : start + _CSV_BLOCK].tolist() for c in columns))
+            handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def _write_efficiency(path: Path, report: diagnostics.EfficiencyReport, rct) -> None:
@@ -326,8 +327,8 @@ def cmd_simulate(config_path: str) -> None:
     config = load_config(config_path)
     if config.source != "simulate":
         raise ConfigError("simulate command needs a [data] section with source = simulate")
-    path = _ensure_outdir(config) / "series.csv"
     sim = _simulate(config)
+    path = _ensure_outdir(config) / "series.csv"
     # the column label is a comment so the file feeds straight back into
     # the loader, which treats every non-comment line as data
     with open(path, "w") as handle:
@@ -345,11 +346,9 @@ def cmd_periodogram(input_path: str, output_path: str, column: int = 0) -> None:
 
 def cmd_fit(config_path: str) -> None:
     config = load_config(config_path)
-    out = _ensure_outdir(config)
     data, log_prior_fn, mode = _prepare(config)
     output = _run_chain(config, data, log_prior_fn, mode)
-    # every output is computed before the first file is written, so a fit
-    # that fails on the way leaves no files
+    # everything is computed before the directory is made: a failed fit leaves nothing
     summary = "\n".join(_summary_lines(config, data, mode, output)) + "\n"
     curves = {
         f"kde_{name}.csv": (["value", "density"], diagnostics.kde_grid(column))
@@ -359,6 +358,7 @@ def cmd_fit(config_path: str) -> None:
     log_spec = diagnostics.posterior_mean_spectrum(_thinned(output.draws), config.model, grid)
     curves["spectrum.csv"] = (["omega", "mean_log_density"], (grid.omegas, log_spec))
 
+    out = _ensure_outdir(config)
     _write_csv(out / "draws.csv", output.param_names, output.draws.T)
     (out / "summary.txt").write_text(summary)
     for filename, (header, columns) in curves.items():
@@ -390,8 +390,6 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
         raise ConfigError(
             f"compare needs both configs to fit the same data: {', '.join(differ)} differ"
         )
-    out = _ensure_outdir(config_sub)
-
     # the configs fit the same data and model, so one preparation serves both
     prepared = _prepare(config_full)
     out_full = _run_chain(config_full, *prepared)
@@ -401,6 +399,7 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
     report_sub = diagnostics.efficiency_report(out_sub)
     rct = diagnostics.relative_ct(report_sub, report_full)
 
+    out = _ensure_outdir(config_sub)
     _write_efficiency(out / "efficiency.csv", report_sub, rct)
     _write_efficiency(out / "efficiency_baseline.csv", report_full, np.ones(len(rct)))
     mean_f, sd_f = out_full.draws.mean(axis=0), out_full.draws.std(axis=0, ddof=1)

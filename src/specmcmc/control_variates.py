@@ -69,8 +69,8 @@ class TaylorCV:
 
     def group_values(self, data, theta, u) -> np.ndarray:
         delta = np.asarray(theta, dtype=float) - self.theta_star
-        quad = np.einsum("kij,i,j->k", self.hessians[u], delta, delta)
-        return self.values[u] + self.grads[u] @ delta + 0.5 * quad
+        quad = np.einsum("kij,i,j->k", self.hessians.take(u, axis=0), delta, delta)
+        return self.values[u] + self.grads.take(u, axis=0) @ delta + 0.5 * quad
 
     def total(self, data, theta) -> float:
         delta = np.asarray(theta, dtype=float) - self.theta_star

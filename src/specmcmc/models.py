@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -77,10 +79,10 @@ class NaturalParams:
 
     def __post_init__(self) -> None:
         for name in ("phi", "theta"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.isfinite(arr).all():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not all(map(math.isfinite, arr.ravel().tolist())):  # Python floats: cheaper
                 raise ValueError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, arr.reshape(1) if arr.ndim == 0 else arr)
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
         if self.lambda_ is not None and not self.lambda_ > 0:
@@ -89,16 +91,32 @@ class NaturalParams:
             raise ValueError("sigma2_eps must be positive when present")
 
 
+def _float_sum(values) -> float:
+    """Sum of floats in the order of numpy's float64 ``np.sum``, so equal to it bit for bit.
+
+    Under 8 numbers one by one onto 0.0, up to 128 in eight interleaved partial sums
+    added pairwise then the tail, above that as two halves split at a multiple of 8.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _float_sum(values[:half]) + _float_sum(values[half:])
+    r = [reduce(add, values[lane : n - n % 8 : 8]) for lane in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[n - n % 8 :], 0.0 + head)  # numpy's start 0.0 makes -0.0 into 0.0
+
+
 def pacf_to_ar(pacf) -> np.ndarray:
     """Map partial autocorrelations to AR coefficients (Durbin-Levinson).
 
     phi_k^(k) = pacf_k and phi_j^(k) = phi_j^(k-1) - pacf_k * phi_{k-j}^(k-1);
     any pacf in (-1, 1)^q yields a stationary coefficient vector.
     """
-    # Python floats: the orders are small, and numpy's per-call cost on
-    # arrays this short would dominate every density evaluation.
+    # Python floats: numpy's per-call cost would dominate orders this small
     coeffs: list[float] = []
-    for r in np.asarray(pacf, dtype=float).tolist():
+    for r in map(float, pacf):
         coeffs = [c - r * b for c, b in zip(coeffs, reversed(coeffs))] + [r]
     return np.array(coeffs)
 
@@ -141,12 +159,6 @@ def ar_to_pacf(coeffs) -> np.ndarray:
     return pacf
 
 
-def _ma_from_unconstrained(block: np.ndarray) -> np.ndarray:
-    # The MA polynomial is 1 + theta_1 z + ...; negating the stationary AR
-    # image of the reflected pacf keeps every root outside the unit circle.
-    return -pacf_to_ar(-np.tanh(block))
-
-
 def _ma_to_unconstrained(theta: np.ndarray) -> np.ndarray:
     return np.arctanh(-ar_to_pacf(-np.asarray(theta, dtype=float)))
 
@@ -180,23 +192,27 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {vector.shape}")
-    if not np.isfinite(vector).all():
+    values = vector.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("parameter vector contains non-finite entries")
     q, p = spec.ar_order, spec.ma_order
-    phi = pacf_to_ar(np.tanh(vector[:q]))
-    theta = _ma_from_unconstrained(vector[q : q + p])
+    pacf = np.tanh(vector[: q + p]).tolist()  # elementwise, so one call serves both blocks
+    phi = pacf_to_ar(pacf[:q])
+    # The MA polynomial is 1 + theta_1 z + ...; negating the stationary AR
+    # image of the reflected pacf keeps every root outside the unit circle.
+    theta = -pacf_to_ar([-r for r in pacf[q:]])
     pos = q + p
     d, lambda_ = 0.0, None
     if spec.fractional == "arfima":
-        d = 0.5 * math.tanh(vector[pos])
+        d = 0.5 * math.tanh(values[pos])
         pos += 1
     elif spec.fractional == "artfima":
-        d = float(vector[pos])
-        lambda_ = _exp_positive(vector[pos + 1], "lambda")
+        d = values[pos]
+        lambda_ = _exp_positive(values[pos + 1], "lambda")
         pos += 2
-    sigma2 = _exp_positive(vector[pos], "sigma2")
+    sigma2 = _exp_positive(values[pos], "sigma2")
     pos += 1
-    sigma2_eps = _exp_positive(vector[pos], "sigma2_eps") if spec.sv_wrapper else None
+    sigma2_eps = _exp_positive(values[pos], "sigma2_eps") if spec.sv_wrapper else None
     return NaturalParams(phi=phi, theta=theta, d=d, lambda_=lambda_, sigma2=sigma2, sigma2_eps=sigma2_eps)
 
 
@@ -400,11 +416,7 @@ _PRIOR_MEMORY = (0.0, 1.0)  # d_tilde (ARFIMA) or d (ARTFIMA)
 _PRIOR_LOG_LAMBDA = (0.0, 1.0)
 _PRIOR_LOG_SIGMA2 = (0.0, 1.0)
 _PRIOR_LOG_SIGMA2_EPS = (0.0, 0.1)
-
-
-def _normal_logpdf(x: float, mean: float, sd: float) -> float:
-    z = (x - mean) / sd
-    return -0.5 * (z * z + LOG_TWO_PI) - math.log(sd)
+_PRIOR_FRACTIONAL = {"none": (), "arfima": (_PRIOR_MEMORY,), "artfima": (_PRIOR_MEMORY, _PRIOR_LOG_LAMBDA)}
 
 
 def log_prior(spec: ModelSpec, vector) -> float:
@@ -412,25 +424,22 @@ def log_prior(spec: ModelSpec, vector) -> float:
 
     Uniform(-1, 1) on each partial autocorrelation, expressed in the
     unconstrained space through the tanh Jacobian; independent Gaussians on
-    the remaining coordinates, as set in the ``_PRIOR_*`` constants.
+    the remaining coordinates, as set in the ``_PRIOR_*`` constants.  The
+    arithmetic is on Python floats, the PACF terms summed in ``np.sum``'s order
+    (:func:`_float_sum`), except exp and log1p: ``math.exp`` rounds unlike numpy's.
     """
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} parameters, got shape {vector.shape}")
-    q, p = spec.ar_order, spec.ma_order
+    block = spec.ar_order + spec.ma_order
     # log(0.5 * (1 - tanh(v)^2)) = -log 2 - 2 log cosh v per coordinate, with
     # log cosh v = |v| + log1p(exp(-2|v|)) - log 2, finite for every finite v
-    size = np.abs(vector[: q + p])
-    total = float(np.sum(-2.0 * (size + np.log1p(np.exp(-2.0 * size)) - math.log(2.0)) - math.log(2.0)))
-    pos = q + p
-    if spec.fractional in ("arfima", "artfima"):
-        total += _normal_logpdf(vector[pos], *_PRIOR_MEMORY)
-        pos += 1
-    if spec.fractional == "artfima":
-        total += _normal_logpdf(vector[pos], *_PRIOR_LOG_LAMBDA)
-        pos += 1
-    total += _normal_logpdf(vector[pos], *_PRIOR_LOG_SIGMA2)
-    pos += 1
-    if spec.sv_wrapper:
-        total += _normal_logpdf(vector[pos], *_PRIOR_LOG_SIGMA2_EPS)
+    size = np.abs(vector[:block])
+    soft = np.log1p(np.exp(-2.0 * size)).tolist()
+    total = _float_sum([-2.0 * (s + c - math.log(2.0)) - math.log(2.0) for s, c in zip(size.tolist(), soft)])
+    priors = _PRIOR_FRACTIONAL[spec.fractional] + (_PRIOR_LOG_SIGMA2,)
+    priors += (_PRIOR_LOG_SIGMA2_EPS,) * spec.sv_wrapper
+    for x, (mean, sd) in zip(vector[block:].tolist(), priors):
+        z = (x - mean) / sd
+        total += -0.5 * (z * z + LOG_TWO_PI) - math.log(sd)
     return total

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import ParameterRangeError
+from .models import ParameterRangeError, _float_sum
 from .whittle import GroupIndex, fd_gradient, full_loglik
 
 
@@ -45,7 +45,7 @@ class SubsampleIndicators:
         u = np.asarray(self.u, dtype=np.intp)
         if u.ndim != 1 or u.size == 0:
             raise ValueError("u must be a non-empty index vector")
-        if np.any(u < 0) or np.any(u >= self.n_groups):
+        if not all(0 <= k < self.n_groups for k in u.tolist()):  # Python ints: cheaper
             raise ValueError("group indices out of range")
         if self.n_blocks < 1:
             raise ValueError("need at least one block")
@@ -66,10 +66,13 @@ class SubsampleIndicators:
 
 
 def block_refresh(sub: SubsampleIndicators, b: int, rng: np.random.Generator) -> SubsampleIndicators:
-    """Redraw block b uniformly over the groups, leaving the rest in place."""
+    """Redraw block b uniformly over the groups; for an empty block, ``sub`` itself."""
     start, stop = sub.block_bounds(b)
+    if start == stop:
+        return sub
     u = sub.u.copy()
-    u[start:stop] = rng.integers(0, sub.n_groups, size=stop - start)
+    # size None draws what size 1 does, without numpy's np.prod(size) on the way
+    u[start:stop] = rng.integers(0, sub.n_groups, size=None if stop - start == 1 else stop - start)
     return SubsampleIndicators(u=u, n_blocks=sub.n_blocks, n_groups=sub.n_groups)
 
 
@@ -113,9 +116,10 @@ def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> 
     estimator.
     Charges one density evaluation per sampled frequency plus ``eval_cost``.
 
-    A difference that is not finite, or differences too large to square,
-    give ell_hat = -inf and sigma2_hat = +inf: a log target of -inf, so the
-    chain rejects such a proposal.
+    The mean and var(ddof=1) of the differences are numpy's bit for bit: the
+    same float operations in Python, sums in ``np.sum``'s order (``_float_sum``).
+    A non-finite difference, or differences too large to square, give ell_hat =
+    -inf and sigma2_hat = +inf, a log target of -inf, which the chain rejects.
     """
     if sub.m < 2:
         raise ValueError("need m >= 2 so the variance is estimable")
@@ -124,13 +128,13 @@ def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> 
     ell_groups = np.add.reduceat(data.terms(theta, indices), starts)
     q = cv.group_values(data, theta, sub.u)
     density_evals = int(indices.size) + cv.eval_cost
-    with np.errstate(invalid="ignore", over="ignore"):
-        diffs = ell_groups - q
-        var = float(diffs.var(ddof=1))
+    diffs = [ell - cv_value for ell, cv_value in zip(ell_groups.tolist(), q.tolist())]
+    mean = _float_sum(diffs) / sub.m
+    var = _float_sum([(d - mean) * (d - mean) for d in diffs]) / (sub.m - 1)
     if not math.isfinite(var):
         return LogLikEstimate(ell_hat=-math.inf, sigma2_hat=math.inf, density_evals=density_evals)
     return LogLikEstimate(
-        ell_hat=cv.total(data, theta) + g.n_groups * float(diffs.mean()),
+        ell_hat=cv.total(data, theta) + g.n_groups * mean,
         sigma2_hat=g.n_groups**2 * var / sub.m,
         density_evals=density_evals,
     )

@@ -55,7 +55,7 @@ class WhittleData:
         if indices is None:
             trig, ordinates = self._trig, self.periodogram.ordinates
         else:
-            trig = np.take(self._trig, indices, axis=1)
+            trig = self._trig.take(indices, axis=1)
             ordinates = self.periodogram.ordinates[indices]
         work = np.empty((2, trig.shape[1]))
         dens = density_from_trig(self.model, nat, trig, np.empty(trig.shape[1]), work)
@@ -123,6 +123,8 @@ class GroupIndex:
         """Members of the picked groups u, concatenated, and where each group starts."""
         # row i holds group u_i padded to the size of group 0, then masked
         grid = u[:, None] + np.arange(0, self.n_freq, self.n_groups)
+        if self.n_freq % self.n_groups == 0:  # groups of one size: no padding to mask
+            return grid.ravel(), list(range(0, grid.size, grid.shape[1]))
         # group sizes as Python ints: numpy's per-call cost dominates for few picks
         sizes = (len(range(k, self.n_freq, self.n_groups)) for k in u.tolist()[:-1])
         return grid[grid < self.n_freq], list(accumulate(sizes, initial=0))

@@ -1,15 +1,30 @@
 """Parameter transforms, spectral densities, and priors."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
 from conftest import specs_with_vectors
+from specmcmc.models import (
+    _PRIOR_LOG_LAMBDA,
+    _PRIOR_LOG_SIGMA2,
+    _PRIOR_LOG_SIGMA2_EPS,
+    _PRIOR_MEMORY,
+    FRACTIONAL_KINDS,
+    _float_sum,
+)
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal as float64 bit patterns (so 0.0 differs from -0.0); any NaN equals any NaN."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
 
 
 def reference_density(spec, nat, omegas):
@@ -303,3 +318,95 @@ def test_log_prior_stable_far_out(v):
         value = sm.log_prior(sm.ModelSpec(1, 0), np.array([v, 0.0]))
     assert math.isfinite(value)
     assert value == pytest.approx(math.log(2) - 2 * abs(v) - 0.5 * math.log(2 * math.pi), rel=1e-15)
+
+
+# lengths on both sides of numpy's 8-lane and 128-element thresholds, with
+# signed zeros, huge, infinite and NaN entries among ordinary ones
+sum_inputs = st.lists(
+    st.floats()
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    min_size=2,
+    max_size=300,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sum_inputs)
+def test_float_sum_matches_numpy_bit_for_bit(values):
+    x = np.array(values)
+    n = len(values)
+    mean = _float_sum(values) / n
+    var = _float_sum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+    with np.errstate(all="ignore"):
+        expected = (np.sum(x), np.mean(x), np.var(x, ddof=1))
+    for got, ref in zip((_float_sum(values), mean, var), expected):
+        assert same_bits(got, float(ref))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 128, 129, 300])
+def test_float_sum_of_signed_zeros_is_positive_zero(n):
+    assert same_bits(_float_sum([-0.0] * n), float(np.sum(np.full(n, -0.0))))
+    assert same_bits(_float_sum([-0.0] * n), 0.0)
+
+
+@st.composite
+def wide_specs_with_vectors(draw, bound: float):
+    """Every model kind with q + p up to 10, and a vector within +-bound."""
+    spec = sm.ModelSpec(
+        ar_order=draw(st.integers(0, 5)),
+        ma_order=draw(st.integers(0, 5)),
+        fractional=draw(st.sampled_from(FRACTIONAL_KINDS)),
+        sv_wrapper=draw(st.booleans()),
+    )
+    elements = st.floats(-bound, bound) | st.floats(-30.0, 30.0) | st.sampled_from([0.0, -0.0])
+    return spec, draw(arrays(np.float64, spec.n_params, elements=elements))
+
+
+def numpy_log_prior(spec, vector):
+    """The log prior as numpy arithmetic on arrays and float64 scalars, the form it replaced."""
+    q, p = spec.ar_order, spec.ma_order
+    size = np.abs(vector[: q + p])
+    total = float(np.sum(-2.0 * (size + np.log1p(np.exp(-2.0 * size)) - math.log(2.0)) - math.log(2.0)))
+    priors = {"none": [], "arfima": [_PRIOR_MEMORY], "artfima": [_PRIOR_MEMORY, _PRIOR_LOG_LAMBDA]}
+    priors = priors[spec.fractional] + [_PRIOR_LOG_SIGMA2] + [_PRIOR_LOG_SIGMA2_EPS] * spec.sv_wrapper
+    for x, (mean, sd) in zip(vector[q + p :], priors):  # x is a numpy float64
+        z = (x - mean) / sd
+        total += -0.5 * (z * z + math.log(2.0 * math.pi)) - math.log(sd)
+    return float(total)
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_specs_with_vectors(bound=1e6))
+def test_log_prior_equals_the_numpy_form_bit_for_bit(case):
+    spec, vector = case
+    assert same_bits(sm.log_prior(spec, vector), numpy_log_prior(spec, vector))
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_specs_with_vectors(bound=30.0))
+def test_to_natural_coefficients_equal_the_per_block_form_bit_for_bit(case):
+    # one tanh call over both blocks gives what a call per block gave
+    spec, vector = case
+    q, p = spec.ar_order, spec.ma_order
+    nat = sm.to_natural(spec, vector)
+    assert nat.phi.tobytes() == sm.pacf_to_ar(np.tanh(vector[:q])).tobytes()
+    assert nat.theta.tobytes() == (-sm.pacf_to_ar(-np.tanh(vector[q : q + p]))).tobytes()
+
+
+def test_natural_params_validation():
+    ok = dict(phi=np.array([0.5]), theta=np.zeros(0), d=0.0, lambda_=None, sigma2=1.0, sigma2_eps=None)
+    assert sm.NaturalParams(**{**ok, "phi": 0.5}).phi.shape == (1,)
+    bad_fields = [
+        {"phi": [0.1, math.nan]},
+        {"phi": math.inf},
+        {"theta": [0.2, -math.inf]},
+        {"theta": [[0.1], [math.nan]]},
+        {"sigma2": 0.0},
+        {"sigma2": math.nan},
+        {"lambda_": 0.0},
+        {"sigma2_eps": -1.0},
+    ]
+    for bad in bad_fields:
+        with pytest.raises(ValueError):
+            sm.NaturalParams(**{**ok, **bad})

@@ -45,7 +45,23 @@ def test_block_refresh_touches_only_its_block():
     np.testing.assert_array_equal(same.u, tiny.u)
 
 
+def test_block_refresh_of_an_empty_block_returns_it_unchanged():
+    tiny = make_sub([2, 0], 5, 4)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert sm.block_refresh(tiny, 3, rng) is tiny
+    assert rng.bit_generator.state == state
+    # a non-empty block draws as before
+    assert sm.block_refresh(tiny, 0, rng) is not tiny
+    assert rng.bit_generator.state != state
+
+
 def test_indicator_validation():
+    assert make_sub([0, 3, 3], 1, 4).u.tolist() == [0, 3, 3]
+    with pytest.raises(ValueError):
+        make_sub([[0, 1]], 1, 4)
+    with pytest.raises(ValueError):
+        make_sub([0, 2, 4], 1, 4)
     with pytest.raises(ValueError):
         make_sub([], 1, 4)
     with pytest.raises(ValueError):
@@ -124,6 +140,22 @@ def test_diff_estimator_unbiased_over_all_subsamples(seed, n_groups, extra_terms
                 assert est.sigma2_hat == n_groups**2 * float(diffs.var(ddof=1)) / 2
                 estimates.append(est.ell_hat)
         assert np.mean(estimates) == pytest.approx(full, rel=1e-10, abs=1e-10 * scale)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=300), st.floats(-2.0, 2.0))
+def test_diff_estimator_moments_are_numpys_bit_for_bit(stub_and_groups, picks, shift):
+    # m on both sides of the lengths where numpy's summation order changes
+    stub, groups = stub_and_groups
+    theta = stub.center + shift
+    sub = make_sub(picks, 3, 6)
+    indices, starts = groups.members(sub.u)
+    ell_groups = np.add.reduceat(stub.terms(theta, indices), starts)
+    for cv in all_cvs(stub, groups):
+        diffs = ell_groups - cv.group_values(stub, theta, sub.u)
+        est = sm.diff_estimator(stub, groups, cv, theta, sub)
+        assert est.ell_hat == cv.total(stub, theta) + 6 * float(diffs.mean())
+        assert est.sigma2_hat == 36 * float(diffs.var(ddof=1)) / len(picks)
 
 
 def test_diff_estimator_variance_hand_check(stub_and_groups):
