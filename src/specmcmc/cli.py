@@ -221,16 +221,16 @@ def _write_csv(path: Path, header, columns) -> None:
     """A header row, then row i holding entry i of every column.
 
     Fields are numbers, a float as its ``repr`` (the shortest text that reads
-    back to the same float), and names ``csv`` would not quote, so rows are
-    joined directly into ``csv.writer``'s bytes.  Columns become Python
-    objects one block of rows at a time, which keeps memory flat.
+    back to the same float), and names ``csv`` would not quote, so each block
+    of rows is joined directly into ``csv.writer``'s bytes.  Columns become
+    Python objects one block at a time, which keeps memory flat.
     """
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(c[start : start + _CSV_BLOCK].tolist() for c in columns))
-            handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+            fields = (map(str, c[start : start + _CSV_BLOCK].tolist()) for c in columns)
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def _write_efficiency(path: Path, report: diagnostics.EfficiencyReport, rct) -> None:

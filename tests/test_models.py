@@ -383,6 +383,14 @@ def test_log_prior_equals_the_numpy_form_bit_for_bit(case):
     assert same_bits(sm.log_prior(spec, vector), numpy_log_prior(spec, vector))
 
 
+def test_log_prior_equals_the_numpy_form_on_many_pacf_blocks():
+    # math.exp in place of numpy's exp moves about 0.6% of these PACF terms
+    # by a last bit, too few for the property above to meet reliably
+    spec = sm.ModelSpec(5, 5)
+    for vector in np.random.default_rng(11).uniform(-3.0, 3.0, (4000, spec.n_params)):
+        assert same_bits(sm.log_prior(spec, vector), numpy_log_prior(spec, vector))
+
+
 @settings(deadline=None, max_examples=200)
 @given(wide_specs_with_vectors(bound=30.0))
 def test_to_natural_coefficients_equal_the_per_block_form_bit_for_bit(case):
