@@ -107,12 +107,18 @@ def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.
 
     Averaging on the log scale keeps the summary stable for long-memory
     models, whose density draws near omega = 0 are heavy-tailed enough that a
-    plain mean would be dominated by a few of them.
+    plain mean would be dominated by a few of them.  A row equal bit for bit
+    to the one before (a rejection, thinned) adds the same log f again.
     """
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     trig = trig_table(model, grid.omegas)
-    dens, work = np.empty(grid.n_freq), np.empty((2, grid.n_freq))
+    out, work = np.empty((2, 2, grid.n_freq))
     total = np.zeros(grid.n_freq)
+    previous = None
     for row in draws:
-        total += np.log(density_from_trig(model, to_natural(model, row), trig, dens, work), out=dens)
+        key = row.tobytes()
+        if key != previous:
+            density_from_trig(model, to_natural(model, row), trig, out, work)
+            previous = key
+        total += out[0]
     return total / len(draws)

@@ -256,24 +256,21 @@ def trig_table(spec: ModelSpec, omegas) -> np.ndarray:
     return table
 
 
-def _circle_parts(coef, cos, sin, re, im, tmp=None) -> None:
+def _circle_parts(coef, cos, sin, re, im, tmp) -> None:
     """1 + sum_k coef_k cos k*omega into ``re`` and sum_k coef_k sin k*omega into ``im``.
 
     These are the real part and minus the imaginary part of
-    1 + sum_k coef_k exp(-i*k*omega).  ``tmp`` is scratch for orders above one
-    and is allocated when not given.
+    1 + sum_k coef_k exp(-i*k*omega).  ``tmp`` is scratch for orders above one.
     """
     np.multiply(cos[0], coef[0], out=re)
     np.multiply(sin[0], coef[0], out=im)
-    if coef.size > 1 and tmp is None:
-        tmp = np.empty_like(re)
     for k in range(1, coef.size):
         re += np.multiply(cos[k], coef[k], out=tmp)
         im += np.multiply(sin[k], coef[k], out=tmp)
     re += 1.0
 
 
-def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
+def _circle_power(coef, cos, sin, re, im, tmp) -> np.ndarray:
     """|1 + sum_k coef_k exp(-i*k*omega)|^2 into ``re``; ``im`` is overwritten.
 
     Computed as (1 + sum_k coef_k cos k*omega)^2 + (sum_k coef_k sin k*omega)^2,
@@ -286,50 +283,80 @@ def _circle_power(coef, cos, sin, re, im, tmp=None) -> np.ndarray:
     return re
 
 
-def density_from_trig(
-    spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Spectral density at the frequencies of a :func:`trig_table`, into ``out``.
-
-    f(omega) = sigma2/(2*pi) * |theta(z)|^2 / |phi(z)|^2 * T(omega)^(-d)
-               (+ sigma2_eps/(2*pi) if wrapped),
-    with z = exp(-i*omega), theta(z) = 1 + sum theta_j z^j, phi(z) = 1 - sum
-    phi_i z^i, and T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as
-    expm1(-lambda)^2 + 4 exp(-lambda) sin(omega/2)^2 (lambda = 0 for ARFIMA),
-    which stays accurate as omega -> 0.  Real arithmetic throughout, in place:
-    ``out`` has one entry per table column and ``work`` is a (2, n) scratch
-    array that is overwritten.
-    """
-    order = (trig.shape[0] - 1) // 2
-    cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
-    scale = nat.sigma2 / (2.0 * np.pi)
-    if nat.phi.size:
-        _circle_power(-nat.phi, cos, sin, out, work[0], work[1])
-        np.divide(scale, out, out=out)
-    else:
-        out.fill(scale)
-    if nat.theta.size:
-        out *= _circle_power(nat.theta, cos, sin, work[0], work[1])
-    if spec.fractional != "none" and nat.d != 0.0:
-        temper = work[0]
-        if nat.lambda_ is None:
-            np.multiply(half_sin2, 4.0, out=temper)
-        else:
-            np.multiply(half_sin2, 4.0 * math.exp(-nat.lambda_), out=temper)
-            temper += math.expm1(-nat.lambda_) ** 2
-        out *= np.power(temper, -nat.d, out=temper)
-    if spec.sv_wrapper:
-        out += nat.sigma2_eps / (2.0 * np.pi)
+def _temper(lambda_, half_sin2, out) -> np.ndarray:
+    """T = expm1(-lambda)^2 + 4 exp(-lambda) sin(omega/2)^2 into ``out``, 4 sin(omega/2)^2 untempered."""
+    if lambda_ is None:
+        return np.multiply(half_sin2, 4.0, out=out)
+    np.multiply(half_sin2, 4.0 * math.exp(-lambda_), out=out)
+    out += math.expm1(-lambda_) ** 2
     return out
 
 
+def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out, work, ordinates=None):
+    """log f, or the Whittle terms, at the columns of a :func:`trig_table`.
+
+    f(omega) = B(omega) * T(omega)^(-d) (+ sigma2_eps/(2*pi) if wrapped), with
+    B = sigma2/(2*pi) * |theta(z)|^2 / |phi(z)|^2, z = exp(-i*omega),
+    theta(z) = 1 + sum theta_j z^j, phi(z) = 1 - sum phi_i z^i, and
+    T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as :func:`_temper`
+    (lambda = 0 for ARFIMA), which stays accurate as omega -> 0.
+
+    ``out[0]`` receives log f, or given the periodogram ``ordinates`` I the
+    Whittle terms -(log f + I/f), with I/f in ``out[1]``.  The fractional
+    factor stays in log space: L = log T is one log per frequency, log f =
+    log B - d*L and I/f = I * exp(-log f), and no power is taken; with
+    p = q = 0 B is a scalar.  f itself is formed for ARMA models, at d = 0
+    (the factor is skipped) and under the wrapper (as B * exp(-d*L) + c, kept
+    in ``work[0]``), then logged.  ``out`` and ``work`` are (2, n).  Returns
+    L for fractional models (at d = 0 too, for the memory score), or None.
+    """
+    order = (trig.shape[0] - 1) // 2
+    cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
+    # f is formed where log f goes, and logged in place, unless the score needs it kept
+    dens, *spare = (work[0], out[0], out[1]) if spec.sv_wrapper else (out[0], out[1], work[0])
+    base = nat.sigma2 / (2.0 * np.pi)
+    if nat.phi.size:
+        base = np.divide(base, _circle_power(-nat.phi, cos, sin, dens, *spare), out=dens)
+    if nat.theta.size:
+        base = np.multiply(base, _circle_power(nat.theta, cos, sin, *spare, work[1]), out=dens)
+    log_temper = None
+    if spec.fractional != "none":
+        log_temper = np.log(_temper(nat.lambda_, half_sin2, work[1]), out=work[1])
+        if nat.d != 0.0 and not spec.sv_wrapper:
+            scaled = np.multiply(log_temper, nat.d, out=out[1])
+            log_base = np.log(base, out=base) if base is dens else math.log(base)
+            if ordinates is None:
+                np.subtract(log_base, scaled, out=out[0])
+            else:
+                minus_log = np.subtract(scaled, log_base, out=out[0])
+                ratio = np.multiply(np.exp(minus_log, out=out[1]), ordinates, out=out[1])
+                np.subtract(minus_log, ratio, out=out[0])
+            return log_temper
+        if nat.d != 0.0:
+            factor = np.multiply(log_temper, -nat.d, out=out[0])
+            base = np.multiply(np.exp(factor, out=factor), base, out=dens)
+    if base is not dens:
+        dens.fill(base)
+    if spec.sv_wrapper:
+        dens += nat.sigma2_eps / (2.0 * np.pi)
+    if ordinates is None:
+        np.log(dens, out=out[0])
+    else:
+        ratio = np.divide(ordinates, dens, out=out[1])
+        terms = np.log(dens, out=out[0])
+        terms += ratio
+        np.negative(terms, out=terms)
+    return log_temper
+
+
 def log_density_score(
-    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, work, total, dot
+    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, log_temper, work, total, dot
 ) -> np.ndarray:
     """sum_k weights_k * grad log f(omega_k), the gradient in the unconstrained vector.
 
-    ``nat`` decodes ``vector`` and ``dens`` is :func:`density_from_trig` of it
-    at the table's columns.  ``weights``, ``dens`` and the (3, n) scratch
+    ``nat`` decodes ``vector``; ``dens`` is the ``work[0]`` row of
+    :func:`density_from_trig` for it, which holds f under the wrapper, and
+    ``log_temper`` the L it returns.  ``weights``, ``dens`` and the (3, n) scratch
     ``work`` are overwritten.  Every sum over the frequencies goes through
     ``total(x)`` and every weighted sum through ``dot(a, b)``, both along the
     last axis: ``np.sum`` and ``np.matmul`` give the gradient of the whole
@@ -342,7 +369,7 @@ def log_density_score(
       im sin j*omega) / P, two matrix-vector products with the table's rows.
       The AR power enters log f negated with c = -phi, so both blocks take
       the same sign.
-    - d log f / d d = -log T, also at d = 0 where the density skips the
+    - d log f / d d = -L, also at d = 0 where the density skips the
       factor, and d log f / d log lambda = -d lambda T'/T with
       T' = -2 expm1(-lambda) e^-lambda - 4 e^-lambda sin(omega/2)^2.
     - d log f / d log sigma2 = 1.
@@ -381,16 +408,13 @@ def log_density_score(
         grad[..., start : start + size] = (by_coef.T @ jac) * _sech2(block)
     pos = q + p
     if spec.fractional != "none":
-        lam = nat.lambda_ if nat.lambda_ is not None else 0.0
-        damp = math.exp(-lam)
-        temper = np.multiply(half_sin2, 4.0 * damp, out=work[0])
-        temper += math.expm1(-lam) ** 2
         if spec.fractional == "artfima":
-            per_temper = np.divide(weights, temper, out=work[1])
+            lam, damp = nat.lambda_, math.exp(-nat.lambda_)
+            per_temper = np.divide(weights, _temper(lam, half_sin2, work[0]), out=work[0])
             slope = -2.0 * math.expm1(-lam) * damp * total(per_temper)
             slope -= 4.0 * damp * dot(per_temper, half_sin2)  # sum_k w_k T'_k / T_k
             grad[..., pos + 1] = -nat.d * lam * slope
-        grad[..., pos] = -dot(weights, np.log(temper, out=temper))
+        grad[..., pos] = -dot(weights, log_temper)
         if spec.fractional == "arfima":
             grad[..., pos] *= 0.5 * _sech2(vector[pos])
         pos += 1 if spec.fractional == "arfima" else 2
@@ -401,13 +425,13 @@ def log_density_score(
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
-    """Evaluate the model spectral density at frequencies in (0, pi)."""
+    """The model spectral density at frequencies in (0, pi), as exp of the kernel's log f."""
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr <= 0.0) or np.any(omega_arr >= np.pi):
         raise ValueError("frequencies must lie strictly inside (0, pi)")
-    n = omega_arr.size
-    dens = density_from_trig(spec, nat, trig_table(spec, omega_arr), np.empty(n), np.empty((2, n)))
-    return dens if np.ndim(omega) else float(dens[0])
+    out, work = np.empty((2, 2, omega_arr.size))
+    density_from_trig(spec, nat, trig_table(spec, omega_arr), out, work)
+    return np.exp(out[0]) if np.ndim(omega) else float(np.exp(out[0, 0]))
 
 
 # Gaussian priors, (mean, standard deviation), on the scale the sampler sees;

@@ -1,12 +1,13 @@
 """Whittle log-likelihood over the positive Fourier grid, whole or in groups.
 
 The likelihood is a sum of per-frequency terms -(log f(omega_k) + I_k /
-f(omega_k)), with f from the real-valued density kernel in ``models``.
-Everything downstream (subsampling, control variates) only needs the ability
-to evaluate those terms on an arbitrary index subset, so that is the
-interface ``WhittleData`` exposes, beside the exact gradient of the whole
-or grouped sum (``loglik_and_score``); test doubles with the same two methods
-can stand in for it.
+f(omega_k)), formed by the density kernel in ``models``, which keeps the
+fractional factor in log space: one log per frequency, no power.
+Everything downstream (subsampling, control variates) only needs the
+ability to evaluate those terms on an arbitrary index subset, so that is
+the interface ``WhittleData`` exposes, beside the exact gradient of the
+whole or grouped sum (``loglik_and_score``); test doubles with the same
+two methods can stand in for it.
 
 Frequencies are grouped by stride.  ``GroupIndex`` is the pair (n_freq,
 n_groups) and the one place that knows the layout: the members of picked
@@ -48,8 +49,9 @@ class WhittleData:
 
         Each term depends only on its own frequency, so a subset's terms equal
         the matching entries of the full set bit for bit.  Besides a subset's
-        columns of the trig table, allocates the result and a two-row scratch
-        array; everything else runs in place.
+        columns of the trig table, allocates one (2, 2, n) array holding the
+        result in its first row: two per call can make glibc trim the heap
+        and fault it back in on every call.
         """
         nat = to_natural(self.model, theta)
         if indices is None:
@@ -57,12 +59,9 @@ class WhittleData:
         else:
             trig = self._trig.take(indices, axis=1)
             ordinates = self.periodogram.ordinates[indices]
-        work = np.empty((2, trig.shape[1]))
-        dens = density_from_trig(self.model, nat, trig, np.empty(trig.shape[1]), work)
-        ratio = np.divide(ordinates, dens, out=work[0])
-        np.log(dens, out=dens)
-        dens += ratio
-        return np.negative(dens, out=dens)
+        out, work = np.empty((2, 2, trig.shape[1]))
+        density_from_trig(self.model, nat, trig, out, work, ordinates)
+        return out[0]
 
     def loglik_and_score(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood and its gradient in theta, from one pass.
@@ -80,18 +79,14 @@ class WhittleData:
         else:
             total, dot = groups.sums, lambda a, b: groups.sums(a * b)
         nat = to_natural(self.model, theta)
-        n = self.n_freq
-        work = np.empty((4, n))
-        dens = density_from_trig(self.model, nat, self._trig, np.empty(n), work[:2])
-        weights = np.divide(self.periodogram.ordinates, dens, out=work[3])
-        # the terms negated: summation is symmetric in sign, so negating the
-        # sums gives the sums of the terms exactly
-        minus_terms = np.log(dens, out=work[0])
-        minus_terms += weights
-        value = -total(minus_terms)
+        buf = np.empty((6, self.n_freq))  # two of scratch, the terms, I/f, the kernel's f and L
+        ordinates = self.periodogram.ordinates
+        log_temper = density_from_trig(self.model, nat, self._trig, buf[2:4], buf[4:], ordinates)
+        terms, weights = buf[2:4]
+        value = total(terms)
         weights -= 1.0
         score = log_density_score(
-            self.model, theta, nat, self._trig, weights, dens, work[:3], total, dot
+            self.model, theta, nat, self._trig, weights, buf[4], log_temper, buf[:3], total, dot
         )
         return value, score
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import specmcmc as sm
+from specmcmc import diagnostics
 from conftest import make_quadratic_stub
 
 
@@ -102,3 +103,25 @@ def test_posterior_mean_spectrum_averages_logs():
     # log densities are flat in omega here: log(s2 / 2pi); the average of the
     # two logs is log(2 / 2pi) by symmetry
     np.testing.assert_allclose(mean_log, np.log(2.0 / (2.0 * np.pi)), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, a, b",
+    [
+        (sm.ModelSpec(2, 1), [0.3, -0.2, 0.4, 0.1], [0.1, 0.2, -0.3, -0.1]),
+        (sm.ModelSpec(0, 0, fractional="artfima"), [0.3, -1.0, 0.2], [-0.2, 0.5, 0.1]),
+    ],
+    ids=["arma", "artfima"],
+)
+def test_posterior_mean_spectrum_reuses_repeated_rows(monkeypatch, model, a, b):
+    # a row equal to the one before adds its log densities again: the bytes
+    # of evaluating every row, with one kernel call fewer per repeat
+    grid = sm.FrequencyGrid(64)
+    draws = np.array([a, a, b, a])
+    expected = np.zeros(grid.n_freq)
+    for row in draws:
+        expected += sm.posterior_mean_spectrum(row, model, grid)
+    kernel, calls = diagnostics.density_from_trig, []
+    monkeypatch.setattr(diagnostics, "density_from_trig", lambda *args: calls.append(1) or kernel(*args))
+    np.testing.assert_array_equal(sm.posterior_mean_spectrum(draws, model, grid), expected / 4)
+    assert len(calls) == 3

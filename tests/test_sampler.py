@@ -368,6 +368,19 @@ class InfOutsideRange:
             return np.full(self.n_freq if indices is None else len(indices), -np.inf)
 
 
+class CountsInfiniteTerms:
+    """Whittle data that counts evaluations whose terms hold -inf."""
+
+    def __init__(self, data):
+        self.data, self.model, self.n_freq = data, data.model, data.n_freq
+        self.infinite = 0
+
+    def terms(self, theta, indices=None):
+        out = self.data.terms(theta, indices)
+        self.infinite += bool(np.any(out == -np.inf))
+        return out
+
+
 def test_chains_reject_out_of_range_proposals():
     # a proposal sd in the thousands sends log sigma2 past +-709, where exp
     # leaves the float range; such proposals are rejected, not fatal
@@ -391,6 +404,27 @@ def test_chains_reject_out_of_range_proposals():
     again = sm.run_pm_chain(data, groups, sm.ZeroCV(), lambda v: 0.0, settings, mode)
     np.testing.assert_array_equal(pm.draws, again.draws)
     assert np.all(np.abs(pm.draws) < 709.0) and np.all(np.isfinite(pm.loglik_trace))
+
+    # ARTFIMA with d in the hundreds: exp(d log T) leaves the float range, the
+    # log target is -inf and the proposal is rejected, with no warning but the
+    # overflow the chains silence (warnings are errors here)
+    data = sm.WhittleData(periodogram=data.periodogram, model=sm.ModelSpec(0, 0, fractional="artfima"))
+    with np.errstate(over="ignore"):
+        for d in (800.0, -800.0):
+            assert sm.full_loglik(data, np.array([d, -3.0, 0.0])) == -np.inf
+    # proposal sd about 800 in d only, around lambda = exp(-3)
+    hessian = np.diag([-1.0 / 600.0**2, -1e8, -1e8])
+    mode = sm.ModeResult(theta=np.array([0.0, -3.0, 0.0]), hessian=hessian, log_posterior=0.0)
+    counted = CountsInfiniteTerms(data)
+    full = sm.run_full_chain(counted, lambda v: 0.0, settings, mode)
+    assert counted.infinite > 10
+    # |d| beyond about 120 overflows, so no such draw is ever accepted
+    assert np.all(np.abs(full.draws[:, 0]) < 120.0) and np.all(np.isfinite(full.loglik_trace))
+    counted.infinite = 0
+    pm = sm.run_pm_chain(counted, sm.make_groups(data.n_freq, 8), sm.ZeroCV(), lambda v: 0.0, settings, mode)
+    assert counted.infinite > 10
+    assert np.all(np.abs(pm.draws[:, 0]) < 120.0) and np.all(np.isfinite(pm.loglik_trace))
+
 
 
 def test_find_mode_from_a_far_start(arma11_data):

@@ -1,11 +1,14 @@
 """Whittle terms, grouping, and the difference machinery behind the variates."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
 from conftest import make_quadratic_stub, specs_with_vectors
@@ -140,6 +143,50 @@ def test_terms_subset_consistency(case, indices):
     np.testing.assert_array_equal(data.terms(theta, indices), data.terms(theta)[indices])
 
 
+@st.composite
+def fractional_specs_with_vectors(draw):
+    """ARFIMA or ARTFIMA of orders 0-3, with or without the wrapper, entries in [-2, 2]."""
+    spec = sm.ModelSpec(
+        ar_order=draw(st.integers(0, 3)),
+        ma_order=draw(st.integers(0, 3)),
+        fractional=draw(st.sampled_from(["arfima", "artfima"])),
+        sv_wrapper=draw(st.booleans()),
+    )
+    return spec, draw(arrays(np.float64, spec.n_params, elements=st.floats(-2.0, 2.0)))
+
+
+def mp_log_density(nat, omega):
+    """log f(omega) at 50 digits, from the float parameters and frequency taken as exact."""
+    with mpmath.workdps(50):
+        z = mpmath.expj(-mpmath.mpf(omega))
+        ar = 1 - sum(mpmath.mpf(c) * z ** (k + 1) for k, c in enumerate(nat.phi.tolist()))
+        ma = 1 + sum(mpmath.mpf(c) * z ** (k + 1) for k, c in enumerate(nat.theta.tolist()))
+        lam = mpmath.mpf(nat.lambda_) if nat.lambda_ is not None else mpmath.mpf(0)
+        temper = abs(1 - mpmath.exp(-lam) * z) ** 2
+        dens = mpmath.mpf(nat.sigma2) / (2 * mpmath.pi) * abs(ma) ** 2 / abs(ar) ** 2
+        dens *= temper ** (-mpmath.mpf(nat.d))
+        if nat.sigma2_eps is not None:
+            dens += mpmath.mpf(nat.sigma2_eps) / (2 * mpmath.pi)
+        return mpmath.log(dens)
+
+
+@settings(deadline=None)
+@given(fractional_specs_with_vectors())
+def test_fractional_terms_match_a_50_digit_evaluation(case):
+    # the log-space factor keeps every term within 1e-12 (|log f| + I/f) of
+    # -(log f + I/f) evaluated in 50-digit arithmetic
+    spec, theta = case
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    nat = sm.to_natural(spec, theta)
+    terms = data.terms(theta)
+    with mpmath.workdps(50):
+        for omega, ordinate, term in zip(SMALL_PERIODOGRAM.grid.omegas, SMALL_PERIODOGRAM.ordinates, terms):
+            log_dens = mp_log_density(nat, omega)
+            ratio = mpmath.mpf(ordinate) * mpmath.exp(-log_dens)
+            exact = -(log_dens + ratio)
+            assert abs(mpmath.mpf(term) - exact) <= 1e-12 * (abs(log_dens) + ratio)
+
+
 # Central differences for the score: the step h = 1e-6 leaves a truncation
 # error of h^2/6 |F'''| (1.7e-13 |F'''|) and a rounding error of about
 # eps * sum_k |l_k| / h (2.2e-10 sum_k |l_k|).  The tolerance 1e-6 sum_k |l_k|
@@ -236,3 +283,54 @@ def test_memory_score_is_nonzero_at_zero_memory(spec, theta):
     tol = SCORE_RTOL * float(np.sum(np.abs(data.terms(theta))))
     assert abs(score[2] - central_score(data, theta)[2]) <= tol
     assert abs(score[2]) > 100 * tol
+
+
+def reference_arma_terms(spec, nat, omegas, ordinates):
+    """ARMA Whittle terms in the parent commit's order of operations: f, then
+    -(log f + I/f), with |1 + sum_k c_k exp(-i k omega)|^2 as the sum of squares."""
+    angles = np.arange(1, max(spec.ar_order, spec.ma_order) + 1)[:, None] * omegas
+    cos, sin = np.cos(angles), np.sin(angles)
+
+    def power(coef):
+        re, im = cos[0] * coef[0], sin[0] * coef[0]
+        for k in range(1, coef.size):
+            re, im = re + cos[k] * coef[k], im + sin[k] * coef[k]
+        re = re + 1.0
+        return re * re + im * im
+
+    dens = np.full(omegas.size, nat.sigma2 / (2.0 * np.pi))
+    if nat.phi.size:
+        dens = nat.sigma2 / (2.0 * np.pi) / power(-nat.phi)
+    if nat.theta.size:
+        dens = dens * power(nat.theta)
+    if spec.sv_wrapper:
+        dens = dens + nat.sigma2_eps / (2.0 * np.pi)
+    return -(np.log(dens) + ordinates / dens)
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0))
+def test_arma_terms_keep_their_arithmetic(case):
+    # the log-space factor leaves ARMA models' arithmetic as it was, bit for bit
+    spec, theta = case
+    spec = dataclasses.replace(spec, fractional="none")
+    theta = theta[: spec.n_params]
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    nat, pgram = sm.to_natural(spec, theta), SMALL_PERIODOGRAM
+    expected = reference_arma_terms(spec, nat, pgram.grid.omegas, pgram.ordinates)
+    np.testing.assert_array_equal(data.terms(theta), expected)
+
+
+def test_arma_loglik_is_pinned_bit_for_bit():
+    # float.hex values of an ARMA(2,1) fit's likelihood and score, recorded
+    # before the fractional factor moved to log space; the ARMA arithmetic
+    # must not drift from them
+    ts = sm.demean(sm.simulate_arma([0.5, -0.3], [0.4], 1.3, 1025, seed=7))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(2, 1))
+    theta = np.array([0.4, -0.25, 0.35, 0.2])
+    value, score = data.loglik_and_score(theta)
+    assert sm.full_loglik(data, theta).hex() == "0x1.4340ad705dfa0p+8"
+    assert float(value).hex() == "0x1.4340ad705dfa0p+8"
+    assert [float(x).hex() for x in score] == [
+        "0x1.85133ddecc3f5p+6", "-0x1.aea1d55af798fp+6", "0x1.f147d3c2ec451p+6", "0x1.f1d3239c71400p+1"
+    ]
