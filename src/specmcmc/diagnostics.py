@@ -116,8 +116,7 @@ def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.
     total = np.zeros(grid.n_freq)
     previous = None
     for row in draws:
-        key = row.tobytes()
-        if key != previous:
+        if (key := row.tobytes()) != previous:
             density_from_trig(model, to_natural(model, row), trig, out, work)
             previous = key
         total += out[0]

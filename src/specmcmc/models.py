@@ -302,18 +302,18 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     (lambda = 0 for ARFIMA), which stays accurate as omega -> 0.
 
     ``out[0]`` receives log f, or given the periodogram ``ordinates`` I the
-    Whittle terms -(log f + I/f), with I/f in ``out[1]``.  The fractional
-    factor stays in log space: L = log T is one log per frequency, log f =
-    log B - d*L and I/f = I * exp(-log f), and no power is taken; with
-    p = q = 0 B is a scalar.  f itself is formed for ARMA models, at d = 0
-    (the factor is skipped) and under the wrapper (as B * exp(-d*L) + c, kept
-    in ``work[0]``), then logged.  ``out`` and ``work`` are (2, n).  Returns
-    L for fractional models (at d = 0 too, for the memory score), or None.
+    Whittle terms -(log f + I/f), with I/f in ``out[1]``; ``out`` and ``work``
+    are (2, n).  The fractional factor stays in log space: L = log T is one
+    log per frequency, log f = log B - d*L and I/f = I * exp(-log f), and no
+    power is taken.  f itself is formed and logged for ARMA models, at d = 0
+    (giving ARMA's bytes) and wrapped (f = B * exp(-d*L) + c).  Returns L for
+    fractional models, and f where it is kept (without ``ordinates``, or
+    wrapped); each is None otherwise.
     """
     order = (trig.shape[0] - 1) // 2
     cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
-    # f is formed where log f goes, and logged in place, unless the score needs it kept
-    dens, *spare = (work[0], out[0], out[1]) if spec.sv_wrapper else (out[0], out[1], work[0])
+    keep = ordinates is None or spec.sv_wrapper  # else f goes where the terms go, logged in place
+    dens, spare = (work[0], (out[0], out[1])) if keep else (out[0], (out[1], work[0]))
     base = nat.sigma2 / (2.0 * np.pi)
     if nat.phi.size:
         base = np.divide(base, _circle_power(-nat.phi, cos, sin, dens, *spare), out=dens)
@@ -322,7 +322,11 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     log_temper = None
     if spec.fractional != "none":
         log_temper = np.log(_temper(nat.lambda_, half_sin2, work[1]), out=work[1])
-        if nat.d != 0.0 and not spec.sv_wrapper:
+    if log_temper is not None and nat.d != 0.0:
+        if spec.sv_wrapper:
+            factor = np.multiply(log_temper, -nat.d, out=out[0])
+            base = np.multiply(np.exp(factor, out=factor), base, out=dens)
+        else:
             scaled = np.multiply(log_temper, nat.d, out=out[1])
             log_base = np.log(base, out=base) if base is dens else math.log(base)
             if ordinates is None:
@@ -331,10 +335,7 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
                 minus_log = np.subtract(scaled, log_base, out=out[0])
                 ratio = np.multiply(np.exp(minus_log, out=out[1]), ordinates, out=out[1])
                 np.subtract(minus_log, ratio, out=out[0])
-            return log_temper
-        if nat.d != 0.0:
-            factor = np.multiply(log_temper, -nat.d, out=out[0])
-            base = np.multiply(np.exp(factor, out=factor), base, out=dens)
+            return log_temper, None
     if base is not dens:
         dens.fill(base)
     if spec.sv_wrapper:
@@ -346,7 +347,7 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
         terms = np.log(dens, out=out[0])
         terms += ratio
         np.negative(terms, out=terms)
-    return log_temper
+    return log_temper, dens if keep else None
 
 
 def log_density_score(
@@ -354,15 +355,14 @@ def log_density_score(
 ) -> np.ndarray:
     """sum_k weights_k * grad log f(omega_k), the gradient in the unconstrained vector.
 
-    ``nat`` decodes ``vector``; ``dens`` is the ``work[0]`` row of
-    :func:`density_from_trig` for it, which holds f under the wrapper, and
-    ``log_temper`` the L it returns.  ``weights``, ``dens`` and the (3, n) scratch
-    ``work`` are overwritten.  Every sum over the frequencies goes through
-    ``total(x)`` and every weighted sum through ``dot(a, b)``, both along the
-    last axis: ``np.sum`` and ``np.matmul`` give the gradient of the whole
-    sum, shape (dim,), and per-group sums give one gradient per group, shape
-    (n_groups, dim).  Every block is contracted as it is formed, so no
-    (dim, n) array is built:
+    ``nat`` decodes ``vector``; ``log_temper`` and ``dens`` are the L and f
+    that :func:`density_from_trig` returns for it.  ``weights``, ``dens`` and
+    the (4, n) scratch ``work`` are overwritten.  Every sum over the
+    frequencies goes through ``total(x)`` and every weighted sum through
+    ``dot(a, b)``, both along the last axis: ``np.sum`` and ``np.matmul`` give
+    the gradient of the whole sum, shape (dim,), and per-group sums give one
+    gradient per group, shape (n_groups, dim).  Every block is contracted as
+    it is formed, so no (dim, n) array is built:
 
     - AR and MA: for 1 + sum_j c_j exp(-i*j*omega) with parts re, im from
       :func:`_circle_parts` and power P, d log P / d c_j = 2 (re cos j*omega +
@@ -391,13 +391,13 @@ def log_density_score(
     scale_score = total(weights)
     grad = np.empty(np.shape(scale_score) + (spec.n_params,))
     q, p = spec.ar_order, spec.ma_order
-    re, im, power = work[0], work[1], work[2]
+    re, im, power, tmp = work[0], work[1], work[2], work[3]
     for start, size, coef, pacf_sign in ((0, q, -nat.phi, 1.0), (q, p, nat.theta, -1.0)):
         if not size:
             continue
-        _circle_parts(coef, cos, sin, re, im, dens)
+        _circle_parts(coef, cos, sin, re, im, tmp)
         np.multiply(re, re, out=power)
-        power += np.multiply(im, im, out=dens)
+        power += np.multiply(im, im, out=tmp)
         np.divide(weights, power, out=power)
         re *= power
         im *= power
@@ -425,13 +425,14 @@ def log_density_score(
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
-    """The model spectral density at frequencies in (0, pi), as exp of the kernel's log f."""
+    """The model spectral density at frequencies in (0, pi): the kernel's f, or exp of its log f."""
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr <= 0.0) or np.any(omega_arr >= np.pi):
         raise ValueError("frequencies must lie strictly inside (0, pi)")
     out, work = np.empty((2, 2, omega_arr.size))
-    density_from_trig(spec, nat, trig_table(spec, omega_arr), out, work)
-    return np.exp(out[0]) if np.ndim(omega) else float(np.exp(out[0, 0]))
+    _, dens = density_from_trig(spec, nat, trig_table(spec, omega_arr), out, work)
+    dens = np.exp(out[0], out=out[0]) if dens is None else dens
+    return dens if np.ndim(omega) else float(dens[0])
 
 
 # Gaussian priors, (mean, standard deviation), on the scale the sampler sees;

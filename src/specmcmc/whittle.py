@@ -59,9 +59,9 @@ class WhittleData:
         else:
             trig = self._trig.take(indices, axis=1)
             ordinates = self.periodogram.ordinates[indices]
-        out, work = np.empty((2, 2, trig.shape[1]))
-        density_from_trig(self.model, nat, trig, out, work, ordinates)
-        return out[0]
+        buf = np.empty((2, 2, trig.shape[1]))  # indexed: unpacking iterates the array, which is slower
+        density_from_trig(self.model, nat, trig, buf[0], buf[1], ordinates)
+        return buf[0, 0]
 
     def loglik_and_score(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood and its gradient in theta, from one pass.
@@ -79,14 +79,14 @@ class WhittleData:
         else:
             total, dot = groups.sums, lambda a, b: groups.sums(a * b)
         nat = to_natural(self.model, theta)
-        buf = np.empty((6, self.n_freq))  # two of scratch, the terms, I/f, the kernel's f and L
+        buf = np.empty((7, self.n_freq))  # the kernel's rows, then the score's scratch
         ordinates = self.periodogram.ordinates
-        log_temper = density_from_trig(self.model, nat, self._trig, buf[2:4], buf[4:], ordinates)
-        terms, weights = buf[2:4]
+        log_temper, dens = density_from_trig(self.model, nat, self._trig, buf[:2], buf[2:4], ordinates)
+        terms, weights = buf[:2]
         value = total(terms)
         weights -= 1.0
         score = log_density_score(
-            self.model, theta, nat, self._trig, weights, buf[4], log_temper, buf[:3], total, dot
+            self.model, theta, nat, self._trig, weights, dens, log_temper, (terms, *buf[4:]), total, dot
         )
         return value, score
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -157,6 +156,8 @@ def fractional_specs_with_vectors(draw):
 
 def mp_log_density(nat, omega):
     """log f(omega) at 50 digits, from the float parameters and frequency taken as exact."""
+    import mpmath
+
     with mpmath.workdps(50):
         z = mpmath.expj(-mpmath.mpf(omega))
         ar = 1 - sum(mpmath.mpf(c) * z ** (k + 1) for k, c in enumerate(nat.phi.tolist()))
@@ -175,6 +176,7 @@ def mp_log_density(nat, omega):
 def test_fractional_terms_match_a_50_digit_evaluation(case):
     # the log-space factor keeps every term within 1e-12 (|log f| + I/f) of
     # -(log f + I/f) evaluated in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
     spec, theta = case
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
     nat = sm.to_natural(spec, theta)
@@ -285,9 +287,9 @@ def test_memory_score_is_nonzero_at_zero_memory(spec, theta):
     assert abs(score[2]) > 100 * tol
 
 
-def reference_arma_terms(spec, nat, omegas, ordinates):
-    """ARMA Whittle terms in the parent commit's order of operations: f, then
-    -(log f + I/f), with |1 + sum_k c_k exp(-i k omega)|^2 as the sum of squares."""
+def reference_arma_density(spec, nat, omegas):
+    """ARMA f in the kernel's order of operations, with
+    |1 + sum_k c_k exp(-i k omega)|^2 as the sum of squares."""
     angles = np.arange(1, max(spec.ar_order, spec.ma_order) + 1)[:, None] * omegas
     cos, sin = np.cos(angles), np.sin(angles)
 
@@ -305,20 +307,24 @@ def reference_arma_terms(spec, nat, omegas, ordinates):
         dens = dens * power(nat.theta)
     if spec.sv_wrapper:
         dens = dens + nat.sigma2_eps / (2.0 * np.pi)
-    return -(np.log(dens) + ordinates / dens)
+    return dens
 
 
 @settings(deadline=None)
 @given(specs_with_vectors(bound=2.0))
 def test_arma_terms_keep_their_arithmetic(case):
-    # the log-space factor leaves ARMA models' arithmetic as it was, bit for bit
+    # the log-space factor leaves ARMA models' arithmetic as it was, bit for
+    # bit: the terms -(log f + I/f), the density and the posterior log-spectrum
     spec, theta = case
     spec = dataclasses.replace(spec, fractional="none")
     theta = theta[: spec.n_params]
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
-    nat, pgram = sm.to_natural(spec, theta), SMALL_PERIODOGRAM
-    expected = reference_arma_terms(spec, nat, pgram.grid.omegas, pgram.ordinates)
+    nat, grid = sm.to_natural(spec, theta), SMALL_PERIODOGRAM.grid
+    dens = reference_arma_density(spec, nat, grid.omegas)
+    expected = -(np.log(dens) + SMALL_PERIODOGRAM.ordinates / dens)
     np.testing.assert_array_equal(data.terms(theta), expected)
+    np.testing.assert_array_equal(sm.spectral_density(spec, nat, grid.omegas), dens)
+    np.testing.assert_array_equal(sm.posterior_mean_spectrum(theta[None], spec, grid), np.log(dens))
 
 
 def test_arma_loglik_is_pinned_bit_for_bit():
