@@ -34,8 +34,6 @@ from .models import (
     ModelSpec,
     NaturalParams,
     ParameterRangeError,
-    ar_to_pacf,
-    from_natural,
     log_prior,
     pacf_to_ar,
     spectral_density,
@@ -48,7 +46,6 @@ from .sampler import (
     ModeResult,
     SubsampleIndicators,
     block_refresh,
-    debias,
     diff_estimator,
     find_mode,
     run_full_chain,

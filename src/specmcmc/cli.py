@@ -87,8 +87,11 @@ class ExperimentConfig:
         for name in ("group_count", "blocks", "coreset_size", "projections", "iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be non-negative")
+        for name in ("column", "ar_order", "ma_order", "burn_in", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if self.proposal_scale is not None and not 0.0 < self.proposal_scale < np.inf:
+            raise ConfigError("proposal_scale must be positive and finite")
 
     @property
     def model(self) -> models.ModelSpec:
@@ -239,13 +242,22 @@ def _write_efficiency(path: Path, report: diagnostics.EfficiencyReport, rct) -> 
     _write_csv(path, ["parameter", "IF", "density_evals", "CT", "RCT"], columns)
 
 
-def _prepare(config: ExperimentConfig):
+def _prepare(*configs: ExperimentConfig):
     """Data, log prior and posterior mode: all a chain needs besides its settings.
 
-    ``compare`` prepares once and runs both of its chains on the result.
+    The first config names the data and model.  ``compare`` prepares once and
+    runs the chains of both its configs on the result; each subsampling
+    config's ``group_count`` is checked against the data before the mode search.
     """
+    config = configs[0]
     pgram = spectral.periodogram(_load_data(config))
     data = whittle.WhittleData(periodogram=pgram, model=config.model)
+    for c in configs:
+        if c.method == "subsample" and c.group_count > data.n_freq:
+            raise ConfigError(
+                f"group_count = {c.group_count} exceeds n_freq = {data.n_freq}, "
+                "the number of frequencies in the data"
+            )
     log_prior_fn = lambda v: models.log_prior(config.model, v)
     mode = sampler.find_mode(data, log_prior_fn, np.zeros(config.model.n_params))
     return data, log_prior_fn, mode
@@ -263,11 +275,6 @@ def _run_chain(config: ExperimentConfig, data, log_prior_fn, mode) -> sampler.Ch
     )
     if config.method == "full":
         return sampler.run_full_chain(data, log_prior_fn, settings, mode)
-    if config.group_count > data.n_freq:
-        raise ConfigError(
-            f"group_count = {config.group_count} exceeds n_freq = {data.n_freq}, "
-            "the number of frequencies in the data"
-        )
     groups = cvs.make_groups(data.n_freq, config.group_count)
     if config.cv == "none":
         variate = cvs.ZeroCV()
@@ -391,7 +398,7 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
             f"compare needs both configs to fit the same data: {', '.join(differ)} differ"
         )
     # the configs fit the same data and model, so one preparation serves both
-    prepared = _prepare(config_full)
+    prepared = _prepare(config_full, config_sub)
     out_full = _run_chain(config_full, *prepared)
     out_sub = _run_chain(config_sub, *prepared)
 
@@ -451,6 +458,8 @@ def main(argv=None) -> int:
     comp.add_argument("config_sub")
 
     args = parser.parse_args(argv)
+    if args.command == "periodogram" and args.column < 0:
+        parser.error("--column must be non-negative")
     try:
         if args.command == "simulate":
             cmd_simulate(args.config)

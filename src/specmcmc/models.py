@@ -144,25 +144,6 @@ def _sech2(x: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def ar_to_pacf(coeffs) -> np.ndarray:
-    """Inverse of :func:`pacf_to_ar`; fails if the input is not stationary."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    pacf = np.empty(coeffs.size)
-    work = coeffs.copy()
-    for k in range(coeffs.size, 0, -1):
-        r = work[k - 1]
-        if abs(r) >= 1.0:
-            raise ValueError("coefficients do not correspond to pacf in (-1, 1)")
-        pacf[k - 1] = r
-        prev = work[: k - 1]
-        work = (prev + r * prev[::-1]) / (1.0 - r * r)
-    return pacf
-
-
-def _ma_to_unconstrained(theta: np.ndarray) -> np.ndarray:
-    return np.arctanh(-ar_to_pacf(-np.asarray(theta, dtype=float)))
-
-
 class ParameterRangeError(ValueError):
     """A log-scale coordinate whose exp overflows or underflows a float.
 
@@ -214,28 +195,6 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
     pos += 1
     sigma2_eps = _exp_positive(values[pos], "sigma2_eps") if spec.sv_wrapper else None
     return NaturalParams(phi=phi, theta=theta, d=d, lambda_=lambda_, sigma2=sigma2, sigma2_eps=sigma2_eps)
-
-
-def from_natural(spec: ModelSpec, nat: NaturalParams) -> np.ndarray:
-    """Encode natural-scale parameters back into the unconstrained space."""
-    parts = [np.arctanh(ar_to_pacf(nat.phi)), _ma_to_unconstrained(nat.theta)]
-    if spec.fractional == "arfima":
-        if not -0.5 < nat.d < 0.5:
-            raise ValueError("ARFIMA requires d in (-0.5, 0.5)")
-        parts.append([math.atanh(2.0 * nat.d)])
-    elif spec.fractional == "artfima":
-        if nat.lambda_ is None or nat.lambda_ <= 0:
-            raise ValueError("ARTFIMA requires a positive tempering rate")
-        parts.append([nat.d, math.log(nat.lambda_)])
-    parts.append([math.log(nat.sigma2)])
-    if spec.sv_wrapper:
-        if nat.sigma2_eps is None or nat.sigma2_eps <= 0:
-            raise ValueError("volatility wrapper requires positive sigma2_eps")
-        parts.append([math.log(nat.sigma2_eps)])
-    vector = np.concatenate([np.asarray(part, dtype=float) for part in parts])
-    if vector.shape != (spec.n_params,):
-        raise ValueError("natural parameters do not match the model specification")
-    return vector
 
 
 def trig_table(spec: ModelSpec, omegas) -> np.ndarray:

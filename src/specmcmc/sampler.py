@@ -9,7 +9,7 @@ single estimate is noisy.
 
 There is one accept/reject loop.  The full-data chain is its exact,
 zero-variance case: the estimate is the full log-likelihood with
-sigma2_hat = 0, which debiasing leaves unchanged, and there are no indicators.
+sigma2_hat = 0, so its variance correction is zero, and there are no indicators.
 Both chains draw proposal increments and acceptance uniforms from one stream
 and subsample indices from a second stream spawned off the same seed, so a
 full-data run and a subsampled run with the same seed see identical proposal
@@ -92,16 +92,6 @@ class LogLikEstimate:
 # Stands in for the estimate at a proposal outside the model's range: log
 # target -inf, nothing evaluated.
 _OUT_OF_RANGE = LogLikEstimate(ell_hat=-math.inf, sigma2_hat=0.0, density_evals=0)
-
-
-def debias(estimate: LogLikEstimate) -> float:
-    """Subtract half the estimated variance.
-
-    exp(ell_hat - sigma2_hat / 2) is unbiased for the likelihood when ell_hat
-    is Gaussian around the truth with variance sigma2_hat, which is what the
-    pseudo-marginal argument needs.
-    """
-    return estimate.ell_hat - 0.5 * estimate.sigma2_hat
 
 
 def diff_estimator(data, g: GroupIndex, cv, theta, sub: SubsampleIndicators) -> LogLikEstimate:
@@ -260,7 +250,9 @@ def _metropolis(data, log_prior_fn, settings, mode, estimate, start, refresh, se
     sub = start(rng_sub)
     theta = mode.theta.copy()
     current = estimate(theta, sub)
-    log_pri = log_prior_fn(theta)
+    # the pseudo-marginal target: exp(ell_hat - sigma2_hat / 2) is unbiased for
+    # the likelihood exp(ell) when ell_hat ~ N(ell, sigma2_hat)
+    target = current.ell_hat - 0.5 * current.sigma2_hat + log_prior_fn(theta)
     evals = current.density_evals + setup_evals
 
     total = settings.burn_in + settings.iterations
@@ -280,11 +272,10 @@ def _metropolis(data, log_prior_fn, settings, mode, estimate, start, refresh, se
                 est_prop = estimate(proposal, sub_prop)
             except ParameterRangeError:
                 est_prop = _OUT_OF_RANGE
-            pri_prop = log_prior_fn(proposal)
             evals += est_prop.density_evals
-            log_ratio = (debias(est_prop) + pri_prop) - (debias(current) + log_pri)
-            if math.log(rng_chain.random()) < log_ratio:
-                theta, sub, current, log_pri = proposal, sub_prop, est_prop, pri_prop
+            target_prop = est_prop.ell_hat - 0.5 * est_prop.sigma2_hat + log_prior_fn(proposal)
+            if math.log(rng_chain.random()) < target_prop - target:
+                theta, sub, current, target = proposal, sub_prop, est_prop, target_prop
                 accepted += 1
             if it >= settings.burn_in:
                 draws[it - settings.burn_in] = theta
@@ -304,8 +295,8 @@ def run_full_chain(data, log_prior_fn, settings: ChainSettings, mode: ModeResult
     """Random-walk Metropolis on the exact Whittle posterior.
 
     The loop's exact, zero-variance case: every estimate is the full
-    log-likelihood with sigma2_hat = 0, which ``debias`` leaves unchanged, and
-    there are no indicators to refresh.
+    log-likelihood with sigma2_hat = 0, which the variance correction leaves
+    unchanged, and there are no indicators to refresh.
     """
     return _metropolis(
         data,

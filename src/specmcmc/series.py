@@ -67,8 +67,11 @@ def load_series(path: str | Path, column: int = 0) -> TimeSeries:
     single number or a comma/whitespace delimited row, in which case
     ``column`` selects the field.  Parse failures report the 1-based line
     number of the offending record; every content failure is a
-    ``SeriesFileError``.
+    ``SeriesFileError``.  A negative ``column`` raises ``ValueError`` before
+    the file is opened.
     """
+    if column < 0:
+        raise ValueError(f"column must be non-negative, not {column}")
     values = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -120,20 +123,13 @@ def _default_burn_in(phi: np.ndarray, theta: np.ndarray) -> int:
     return min(10 * (p + q + 1) * scale, 10_000)
 
 
-def simulate_arma(
-    phi,
-    theta,
-    sigma2: float,
-    n: int,
-    seed: int,
-    burn_in: int | None = None,
-) -> TimeSeries:
+def simulate_arma(phi, theta, sigma2: float, n: int, seed: int) -> TimeSeries:
     """Simulate a Gaussian ARMA(q, p) path.
 
     The recursion is x[t] = sum_i phi[i] x[t-i] + e[t] + sum_j theta[j] e[t-j]
-    with e[t] iid N(0, sigma2), started from zeros and run ``burn_in`` extra
-    steps that are discarded.  Output is reproducible bit-for-bit for a given
-    seed.
+    with e[t] iid N(0, sigma2), started from zeros and run a burn-in long
+    enough for the AR transient to decay, whose steps are discarded.  Output
+    is reproducible bit-for-bit for a given seed.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -147,10 +143,7 @@ def simulate_arma(
         roots = np.roots(np.concatenate(([1.0], -phi)))
         if roots.size and np.max(np.abs(roots)) >= 1.0:
             raise ValueError("AR polynomial is not stationary")
-    if burn_in is None:
-        burn_in = _default_burn_in(phi, theta)
-    elif burn_in < 0:
-        raise ValueError("burn_in must be non-negative")
+    burn_in = _default_burn_in(phi, theta)
 
     rng = np.random.default_rng(seed)
     eps = math.sqrt(sigma2) * rng.standard_normal(n + burn_in)

@@ -130,6 +130,13 @@ def test_config_defaults_round_trip(tmp_path):
         {"blocks": 0},
         {"iterations": 0},
         {"burn_in": -1},
+        {"ar_order": -1},
+        {"ma_order": -1},
+        {"proposal_scale": -1.0},
+        {"proposal_scale": 0.0},
+        {"proposal_scale": float("inf")},
+        {"seed": -5},
+        {"column": -3},
     ],
 )
 def test_config_validation(overrides):
@@ -333,9 +340,19 @@ def test_fit_subsampled_chain(tmp_path):
     assert len(rows) == 400
 
 
-def test_fit_rejects_more_groups_than_frequencies(tmp_path, capsys):
+def refuse_mode_search_and_full_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the group count was checked")
+
+    monkeypatch.setattr(sm.sampler, "find_mode", refuse)
+    monkeypatch.setattr(sm.sampler, "run_full_chain", refuse)
+
+
+def test_fit_rejects_more_groups_than_frequencies(tmp_path, capsys, monkeypatch):
     # 512 points give 255 frequencies, too few for 500 groups; the error
-    # names the key rather than the group index's own range check
+    # names the key rather than the group index's own range check, and comes
+    # before the mode search
+    refuse_mode_search_and_full_chain(monkeypatch)
     extra = """cv = taylor
         group_count = 500"""
     cfg = fit_config(tmp_path, "many_groups", method="subsample", extra=extra)
@@ -344,6 +361,20 @@ def test_fit_rejects_more_groups_than_frequencies(tmp_path, capsys):
     assert err.startswith("error: config:")
     assert "group_count = 500" in err and "n_freq = 255" in err
     assert not (tmp_path / "many_groups").exists()
+
+
+def test_compare_rejects_more_groups_than_frequencies(tmp_path, capsys, monkeypatch):
+    # checked before the mode search and the full-data chain
+    refuse_mode_search_and_full_chain(monkeypatch)
+    cfg_full = fit_config(tmp_path, "groups_full")
+    extra = """cv = taylor
+        group_count = 500"""
+    cfg_sub = fit_config(tmp_path, "groups_sub", method="subsample", extra=extra)
+    assert main(["compare", cfg_full, cfg_sub]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "group_count = 500" in err and "n_freq = 255" in err
+    assert not (tmp_path / "groups_sub").exists()
 
 
 def test_fit_writes_nothing_when_a_density_grid_fails(tmp_path, capsys, monkeypatch):
@@ -489,6 +520,15 @@ def test_error_lines_are_single_and_categorized(tmp_path, capsys):
     ragged.write_text("1.0\nnot_a_number\n")
     assert main(["periodogram", str(ragged), str(tmp_path / "o.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: data:")
+
+
+def test_periodogram_rejects_negative_column(tmp_path, capsys):
+    # a usage error, as a non-integer --column is, before the file is read
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["periodogram", missing, str(tmp_path / "o.csv"), "--column", "-2"])
+    assert exit_info.value.code == 2
+    assert "--column must be non-negative" in capsys.readouterr().err
 
 
 def test_simulate_requires_simulate_source(tmp_path, capsys):

@@ -65,34 +65,25 @@ def test_pacf_to_ar_worked_examples():
     assert sm.pacf_to_ar([]).size == 0
 
 
-@given(st.lists(st.floats(-0.98, 0.98), min_size=1, max_size=5))
-def test_pacf_round_trip(pacf):
-    # each Durbin-Levinson step divides by 1 - r^2, so the rounding error of
-    # the round trip grows with the product of those factors (up to 5.5e-15
-    # times it on a grid of corners; 4.5e-9 at five entries of 0.98)
-    pacf = np.array(pacf)
-    conditioning = np.prod(1.0 / (1.0 - pacf**2))
-    np.testing.assert_allclose(
-        sm.ar_to_pacf(sm.pacf_to_ar(pacf)), pacf, atol=1e-13 * conditioning
-    )
+# Nearer +-1 the roots crowd onto the unit circle, where np.roots cannot
+# resolve them (its error on a k-fold root grows like eps^(1/k)).
+pacf_blocks = st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=6)
 
 
-def test_ar_image_is_stationary():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        coeffs = sm.pacf_to_ar(rng.uniform(-0.999, 0.999, size=4))
-        roots = np.roots(np.concatenate(((-coeffs)[::-1], [1.0])))
-        assert np.all(np.abs(roots) > 1.0 - 1e-9)
+@given(pacf_blocks)
+def test_ar_image_is_stationary(pacf):
+    # the reciprocal roots, those of z^q - phi_1 z^(q-1) - ... - phi_q, lie
+    # inside the unit disc; np.roots finds them also when phi_q is tiny
+    roots = np.roots(np.concatenate(([1.0], -sm.pacf_to_ar(pacf))))
+    assert np.all(np.abs(roots) < 1.0 + 1e-9)
 
 
-def test_ma_image_is_invertible():
-    rng = np.random.default_rng(4)
-    spec = sm.ModelSpec(0, 4)
-    for _ in range(200):
-        vector = np.concatenate((rng.normal(scale=1.5, size=4), [0.0]))
-        nat = sm.to_natural(spec, vector)
-        roots = np.roots(np.concatenate((nat.theta[::-1], [1.0])))
-        assert np.all(np.abs(roots) > 1.0 - 1e-9)
+@given(pacf_blocks)
+def test_ma_image_is_invertible(pacf):
+    spec = sm.ModelSpec(0, len(pacf))
+    nat = sm.to_natural(spec, np.append(np.arctanh(pacf), 0.0))
+    roots = np.roots(np.concatenate(([1.0], nat.theta)))
+    assert np.all(np.abs(roots) < 1.0 + 1e-9)
 
 
 def test_to_natural_zero_vector():
@@ -100,21 +91,6 @@ def test_to_natural_zero_vector():
     np.testing.assert_array_equal(nat.phi, [0.0])
     np.testing.assert_array_equal(nat.theta, [0.0])
     assert nat.sigma2 == 1.0 and nat.d == 0.0 and nat.lambda_ is None
-
-
-def test_natural_round_trip_all_families():
-    rng = np.random.default_rng(5)
-    specs = [
-        sm.ModelSpec(2, 1),
-        sm.ModelSpec(1, 2, fractional="arfima"),
-        sm.ModelSpec(2, 2, fractional="artfima", sv_wrapper=True),
-        sm.ModelSpec(0, 0, sv_wrapper=True),
-    ]
-    for spec in specs:
-        for _ in range(50):
-            vector = rng.normal(scale=1.0, size=spec.n_params)
-            nat = sm.to_natural(spec, vector)
-            np.testing.assert_allclose(sm.from_natural(spec, nat), vector, atol=1e-12)
 
 
 def test_param_names_and_count():
@@ -400,6 +376,23 @@ def test_to_natural_coefficients_equal_the_per_block_form_bit_for_bit(case):
     nat = sm.to_natural(spec, vector)
     assert nat.phi.tobytes() == sm.pacf_to_ar(np.tanh(vector[:q])).tobytes()
     assert nat.theta.tobytes() == (-sm.pacf_to_ar(-np.tanh(vector[q : q + p]))).tobytes()
+
+
+@settings(deadline=None)
+@given(wide_specs_with_vectors(bound=700.0))
+def test_to_natural_scalar_coordinates_have_closed_forms(case):
+    spec, vector = case
+    nat = sm.to_natural(spec, vector)
+    rest = iter(vector[spec.ar_order + spec.ma_order :].tolist())
+    assert nat.phi.size == spec.ar_order and nat.theta.size == spec.ma_order
+    if spec.fractional == "arfima":
+        assert nat.d == 0.5 * math.tanh(next(rest)) and nat.lambda_ is None
+    elif spec.fractional == "artfima":
+        assert nat.d == next(rest) and nat.lambda_ == math.exp(next(rest))
+    else:
+        assert nat.d == 0.0 and nat.lambda_ is None
+    assert nat.sigma2 == math.exp(next(rest))
+    assert nat.sigma2_eps == (math.exp(next(rest)) if spec.sv_wrapper else None)
 
 
 def test_natural_params_validation():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmcmc as sm
+from specmcmc import sampler
 from conftest import make_quadratic_stub
 
 
@@ -70,11 +71,6 @@ def test_indicator_validation():
         make_sub([-1], 1, 4)
     with pytest.raises(ValueError):
         make_sub([0], 0, 4)
-
-
-def test_debias_worked_example():
-    est = sm.LogLikEstimate(ell_hat=0.0, sigma2_hat=2.0, density_evals=5)
-    assert sm.debias(est) == -1.0
 
 
 def test_estimate_rejects_negative_variance():
@@ -194,7 +190,7 @@ def test_diff_estimator_non_finite_terms_give_minus_inf(stub_and_groups, bad):
         est = sm.diff_estimator(broken, groups, cv, stub.center, sub)
         assert est.ell_hat == -np.inf
         assert est.sigma2_hat == np.inf
-        assert sm.debias(est) == -np.inf
+        assert est.ell_hat - 0.5 * est.sigma2_hat == -np.inf
         assert est.density_evals == sm.diff_estimator(stub, groups, cv, stub.center, sub).density_evals
 
 
@@ -267,6 +263,26 @@ def test_full_chain_recovers_gaussian_target(stub_and_groups):
     assert 0.1 < out.acceptance_rate < 0.6
     np.testing.assert_allclose(out.draws.mean(axis=0), stub.total_mode(), atol=0.1 * sd.max())
     np.testing.assert_allclose(np.cov(out.draws.T), target_cov, rtol=0.15, atol=0.01)
+
+
+def test_chain_targets_the_variance_corrected_estimate():
+    # ell_hat = 0 with sigma2_hat = theta.theta makes the corrected log target
+    # -theta.theta / 2, so the chain must sample N(0, I): a wrong sign has no
+    # stationary law and a wrong factor gives the wrong covariance
+    dim = 2
+    mode = sm.ModeResult(theta=np.ones(dim), hessian=-np.eye(dim), log_posterior=0.0)
+    out = sampler._metropolis(
+        None,
+        lambda v: 0.0,
+        sm.ChainSettings(iterations=40_000, burn_in=2_000, seed=13),
+        mode,
+        estimate=lambda theta, sub: sm.LogLikEstimate(0.0, float(theta @ theta), 0),
+        start=lambda rng: None,
+        refresh=lambda sub, block, rng: sub,
+        setup_evals=0,
+    )
+    np.testing.assert_allclose(out.draws.mean(axis=0), np.zeros(dim), atol=0.1)
+    np.testing.assert_allclose(np.cov(out.draws.T), np.eye(dim), atol=0.1)
 
 
 @settings(deadline=None, max_examples=25)

@@ -43,6 +43,13 @@ def test_load_series_reports_line_number(tmp_path):
         sm.load_series(path)
 
 
+def test_load_series_rejects_negative_column_before_reading(tmp_path):
+    # the file does not exist: the column is refused before it is opened
+    for column in (-1, -2):
+        with pytest.raises(ValueError, match="column must be non-negative"):
+            sm.load_series(tmp_path / "missing.csv", column=column)
+
+
 def test_load_series_rejects_single_observation(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("# only one\n42.0\n")
@@ -108,8 +115,6 @@ def test_simulate_arma_rejects_nonstationary_and_bad_args():
         sm.simulate_arma([0.5], [], -1.0, 100, seed=0)
     with pytest.raises(ValueError):
         sm.simulate_arma([0.5], [], 1.0, 1, seed=0)
-    with pytest.raises(ValueError):
-        sm.simulate_arma([0.5], [], 1.0, 100, seed=0, burn_in=-1)
 
 
 def test_simulate_arma_burn_in_disperses_start():
