@@ -35,6 +35,7 @@ from .models import (
     NaturalParams,
     ParameterRangeError,
     log_prior,
+    log_prior_derivatives,
     pacf_to_ar,
     spectral_density,
     to_natural,
@@ -53,7 +54,7 @@ from .sampler import (
 )
 from .series import TimeSeries, demean, load_series, log_square_transform, simulate_arma
 from .spectral import FrequencyGrid, Periodogram, periodogram
-from .whittle import GroupIndex, WhittleData, fd_gradient, full_loglik, grad_hess
+from .whittle import GroupIndex, WhittleData, full_loglik, grad_hess
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -258,8 +258,13 @@ def _prepare(*configs: ExperimentConfig):
                 f"group_count = {c.group_count} exceeds n_freq = {data.n_freq}, "
                 "the number of frequencies in the data"
             )
-    log_prior_fn = lambda v: models.log_prior(config.model, v)
-    mode = sampler.find_mode(data, log_prior_fn, np.zeros(config.model.n_params))
+    spec = config.model
+    log_prior_fn = lambda v: models.log_prior(spec, v)
+    # log sigma2 starts at the white-noise mode, so data in any units start at
+    # their scale; a constant series, whose ordinates are all zero, at zero
+    theta0, scale = np.zeros(spec.n_params), 2.0 * np.pi * pgram.ordinates.mean()
+    theta0[spec.param_names().index("log_sigma2")] = np.log(scale) if scale > 0 else 0.0
+    mode = sampler.find_mode(data, lambda v: models.log_prior_derivatives(spec, v), theta0)
     return data, log_prior_fn, mode
 
 

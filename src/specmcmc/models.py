@@ -121,21 +121,25 @@ def pacf_to_ar(pacf) -> np.ndarray:
     return np.array(coeffs)
 
 
-def _pacf_to_ar_jacobian(pacf) -> np.ndarray:
-    """Jacobian d phi_i / d pacf_l of :func:`pacf_to_ar`, row i, column l.
+def _pacf_to_ar_derivatives(pacf) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of :func:`pacf_to_ar`: d phi_i / d pacf_l and d2 phi_i / d pacf_l d pacf_m.
 
-    Differentiates the Durbin-Levinson step alongside it: the new coefficient
-    c_i - r_k c_{k-1-i} has derivative J_i - r_k J_{k-1-i} - [l = k] c_{k-1-i}.
+    Differentiates the Durbin-Levinson step alongside it: c_i - r_k c_{k-1-i} has derivative J_il -
+    r_k J_{k-1-i,l} - [l = k] c_{k-1-i} and second K_ilm - r_k K_{k-1-i,lm} - [l = k] J_{k-1-i,m} - [m = k] J_{k-1-i,l}.
     """
     pacf = np.asarray(pacf, dtype=float)
-    coeffs, jac = np.zeros(0), np.zeros((0, pacf.size))
+    coeffs, jac, second = np.zeros(0), np.zeros((0, pacf.size)), np.zeros((0, pacf.size, pacf.size))
     for k, r in enumerate(pacf.tolist()):
         step = np.zeros((k + 1, pacf.size))
         step[:k] = jac - r * jac[::-1]
         step[:k, k] -= coeffs[::-1]
         step[k, k] = 1.0
-        coeffs, jac = np.append(coeffs - r * coeffs[::-1], r), step
-    return jac
+        curv = np.zeros((k + 1, pacf.size, pacf.size))
+        curv[:k] = second - r * second[::-1]
+        curv[:k, k, :] -= jac[::-1]
+        curv[:k, :, k] -= jac[::-1]
+        coeffs, jac, second = np.append(coeffs - r * coeffs[::-1], r), step, curv
+    return jac, second
 
 
 def _sech2(x: np.ndarray) -> np.ndarray:
@@ -202,8 +206,9 @@ def trig_table(spec: ModelSpec, omegas) -> np.ndarray:
 
     With order = max(p, q), rows 0..order-1 hold cos(k*omega) and rows
     order..2*order-1 hold sin(k*omega) for k = 1..order; the last row holds
-    sin(omega/2)^2.  Columns are frequencies, so the table of a frequency
-    subset is one ``np.take`` along axis 1.
+    sin(omega/2)^2, or for ARFIMA, whose untempered factor has no parameter,
+    its log L = log(4 sin(omega/2)^2).  Columns are frequencies, so the table
+    of a frequency subset is one ``np.take`` along axis 1.
     """
     omegas = np.asarray(omegas, dtype=float)
     order = max(spec.ar_order, spec.ma_order)
@@ -212,6 +217,8 @@ def trig_table(spec: ModelSpec, omegas) -> np.ndarray:
     np.cos(angles, out=table[:order])
     np.sin(angles, out=table[order : 2 * order])
     np.square(np.sin(0.5 * omegas), out=table[2 * order])
+    if spec.fractional == "arfima":
+        np.log(np.multiply(table[2 * order], 4.0, out=table[2 * order]), out=table[2 * order])
     return table
 
 
@@ -243,9 +250,7 @@ def _circle_power(coef, cos, sin, re, im, tmp) -> np.ndarray:
 
 
 def _temper(lambda_, half_sin2, out) -> np.ndarray:
-    """T = expm1(-lambda)^2 + 4 exp(-lambda) sin(omega/2)^2 into ``out``, 4 sin(omega/2)^2 untempered."""
-    if lambda_ is None:
-        return np.multiply(half_sin2, 4.0, out=out)
+    """T = expm1(-lambda)^2 + 4 exp(-lambda) sin(omega/2)^2 into ``out``."""
     np.multiply(half_sin2, 4.0 * math.exp(-lambda_), out=out)
     out += math.expm1(-lambda_) ** 2
     return out
@@ -257,8 +262,8 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     f(omega) = B(omega) * T(omega)^(-d) (+ sigma2_eps/(2*pi) if wrapped), with
     B = sigma2/(2*pi) * |theta(z)|^2 / |phi(z)|^2, z = exp(-i*omega),
     theta(z) = 1 + sum theta_j z^j, phi(z) = 1 - sum phi_i z^i, and
-    T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as :func:`_temper`
-    (lambda = 0 for ARFIMA), which stays accurate as omega -> 0.
+    T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as :func:`_temper`, accurate
+    as omega -> 0 (lambda = 0 for ARFIMA, whose L the table holds).
 
     ``out[0]`` receives log f, or given the periodogram ``ordinates`` I the
     Whittle terms -(log f + I/f), with I/f in ``out[1]``; ``out`` and ``work``
@@ -270,7 +275,7 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     wrapped); each is None otherwise.
     """
     order = (trig.shape[0] - 1) // 2
-    cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
+    cos, sin, last = trig[:order], trig[order : 2 * order], trig[2 * order]
     keep = ordinates is None or spec.sv_wrapper  # else f goes where the terms go, logged in place
     dens, spare = (work[0], (out[0], out[1])) if keep else (out[0], (out[1], work[0]))
     base = nat.sigma2 / (2.0 * np.pi)
@@ -278,9 +283,9 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
         base = np.divide(base, _circle_power(-nat.phi, cos, sin, dens, *spare), out=dens)
     if nat.theta.size:
         base = np.multiply(base, _circle_power(nat.theta, cos, sin, *spare, work[1]), out=dens)
-    log_temper = None
-    if spec.fractional != "none":
-        log_temper = np.log(_temper(nat.lambda_, half_sin2, work[1]), out=work[1])
+    log_temper = last if spec.fractional == "arfima" else None
+    if spec.fractional == "artfima":
+        log_temper = np.log(_temper(nat.lambda_, last, work[1]), out=work[1])
     if log_temper is not None and nat.d != 0.0:
         if spec.sv_wrapper:
             factor = np.multiply(log_temper, -nat.d, out=out[0])
@@ -309,78 +314,143 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     return log_temper, dens if keep else None
 
 
-def log_density_score(
-    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, log_temper, work, total, dot
-) -> np.ndarray:
-    """sum_k weights_k * grad log f(omega_k), the gradient in the unconstrained vector.
+def _gram(rows, weight, dot, scratch) -> np.ndarray:
+    """sum_k weight_k rows_ik rows_jk for every pair of rows, shape (..., k, k), one row's products at a time."""
+    upper = [dot(rows[i:], np.multiply(rows[i], weight, out=scratch)).T for i in range(len(rows))]
+    out = np.empty(upper[0].shape[:-1] + (len(rows), len(rows)))
+    for i, part in enumerate(upper):
+        out[..., i, i:] = out[..., i:, i] = part
+    return out
 
-    ``nat`` decodes ``vector``; ``log_temper`` and ``dens`` are the L and f
-    that :func:`density_from_trig` returns for it.  ``weights``, ``dens`` and
-    the (4, n) scratch ``work`` are overwritten.  Every sum over the
-    frequencies goes through ``total(x)`` and every weighted sum through
-    ``dot(a, b)``, both along the last axis: ``np.sum`` and ``np.matmul`` give
-    the gradient of the whole sum, shape (dim,), and per-group sums give one
-    gradient per group, shape (n_groups, dim).  Every block is contracted as
-    it is formed, so no (dim, n) array is built:
 
-    - AR and MA: for 1 + sum_j c_j exp(-i*j*omega) with parts re, im from
-      :func:`_circle_parts` and power P, d log P / d c_j = 2 (re cos j*omega +
-      im sin j*omega) / P, two matrix-vector products with the table's rows.
-      The AR power enters log f negated with c = -phi, so both blocks take
-      the same sign.
-    - d log f / d d = -L, also at d = 0 where the density skips the
-      factor, and d log f / d log lambda = -d lambda T'/T with
-      T' = -2 expm1(-lambda) e^-lambda - 4 e^-lambda sin(omega/2)^2.
-    - d log f / d log sigma2 = 1.
-    - With the volatility wrapper f = f_b + c: grad log f = (1 - c/f) grad log
-      f_b, and d log f / d log sigma2_eps = c/f.
+def log_density_derivatives(
+    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, log_temper, work, rows, total, dot
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the Whittle log-likelihood sum_k ell_k in the unconstrained vector.
 
-    The chain rule through tanh, the PACF maps and d = 0.5 tanh(d_tilde) is
-    exact and works on a few numbers, with no data.
+    ``weights`` holds w_k = I_k/f_k - 1 = d ell_k / d log f_k, where ell_k =
+    -(log f_k + I_k/f_k) has second derivative -(w_k + 1): the Hessian is
+    sum_k w_k hess log f_k - (w_k + 1) grad log f_k grad log f_k^T.  ``nat``,
+    ``log_temper`` and ``dens`` are the decoded ``vector`` and the L and f of
+    :func:`density_from_trig`.  ``weights``, ``dens``, the (4, n) ``work`` and
+    the (dim, n) ``rows`` (grad log f per frequency, natural coordinates) are
+    overwritten.  Frequency sums go through ``total(x)`` and ``dot(a, b)``,
+    whole (``np.sum``, ``np.matmul``) or per group, which adds a leading
+    n_groups axis.  Blocks are contracted as formed:
+
+    - AR and MA, with parts re, im (:func:`_circle_parts`) and power P of
+      1 + sum_j c_j exp(-i*j*omega): g_j = d log P / d c_j = 2 (re cos j*omega
+      + im sin j*omega) / P, d2 log P / d c_j d c_l = 2 cos((j - l) omega) / P
+      - g_j g_l; the AR power enters log f negated, at c = -phi.
+    - d log f / d d = -L, also at d = 0.  With M = lambda T'/T, T' =
+      -2 expm1(-lambda) e^-lambda - 4 e^-lambda sin(omega/2)^2, log lambda has
+      gradient -d M, cross term -M with d and curvature -d ((1 - lambda) M -
+      M^2 + 2 lambda^2 e^(-2 lambda) / T).  d log f / d log sigma2 = 1.
+    - The wrapper f = f_b + c, s = f_b/f: grad log f = (s grad log f_b, 1 - s)
+      and hess log f = s hess log f_b + s (1 - s) v v^T, v = (grad log f_b, -1).
+
+    The chain rule through tanh, the PACF maps (:func:`_pacf_to_ar_derivatives`)
+    and d = 0.5 tanh(d_tilde) works on a few numbers; as tanh'' = -2 tanh tanh',
+    each tanh coordinate x adds -2 tanh(x) times its gradient to its diagonal.
     """
     order = (trig.shape[0] - 1) // 2
     cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
     vector = np.asarray(vector, dtype=float)
+    dim, base = spec.n_params, spec.n_params - spec.sv_wrapper  # base: the coordinates of f_b
     if spec.sv_wrapper:
-        # weights * c/f, then weights * (1 - c/f) for the base density
-        np.divide(nat.sigma2_eps / (2.0 * np.pi), dens, out=dens)
-        dens *= weights
+        # weights * c/f, then weights * (1 - c/f) for the base density; c/f stays in the last row
+        noise = np.divide(nat.sigma2_eps / (2.0 * np.pi), dens, out=rows[base])
+        np.multiply(noise, weights, out=dens)
         noise_score = total(dens)
         weights -= dens
     scale_score = total(weights)
-    grad = np.empty(np.shape(scale_score) + (spec.n_params,))
+    grad = np.empty(np.shape(scale_score) + (dim,))
+    hess = np.zeros(grad.shape + (dim,))  # natural coordinates until the chain rule
+    jac = np.eye(dim)  # d natural / d unconstrained
+    curv = np.zeros_like(hess)  # sum_i natural score_i * hess natural_i
     q, p = spec.ar_order, spec.ma_order
     re, im, power, tmp = work[0], work[1], work[2], work[3]
     for start, size, coef, pacf_sign in ((0, q, -nat.phi, 1.0), (q, p, nat.theta, -1.0)):
         if not size:
             continue
+        block, block_rows = vector[start : start + size], rows[start : start + size]
         _circle_parts(coef, cos, sin, re, im, tmp)
         np.multiply(re, re, out=power)
         power += np.multiply(im, im, out=tmp)
+        for j, row in enumerate(block_rows):
+            np.multiply(cos[j], re, out=row)
+            row += np.multiply(sin[j], im, out=tmp)
+        block_rows *= 2.0
+        block_rows /= power
         np.divide(weights, power, out=power)
         re *= power
         im *= power
         by_coef = 2.0 * (dot(cos[:size], re) + dot(sin[:size], im))
         # phi = pacf_to_ar(tanh x); theta = -pacf_to_ar(-tanh x), whose signs cancel
-        block = vector[start : start + size]
-        jac = _pacf_to_ar_jacobian(pacf_sign * np.tanh(block))
-        grad[..., start : start + size] = (by_coef.T @ jac) * _sech2(block)
+        pacf_jac, pacf_curv = _pacf_to_ar_derivatives(pacf_sign * np.tanh(block))
+        sech2 = _sech2(block)
+        grad[..., start : start + size] = (by_coef.T @ pacf_jac) * sech2
+        # sum_k w_k cos((j - l) omega_k) / P_k, a Toeplitz matrix in j - l
+        lags = np.stack([total(power)] + [dot(cos[m], power) for m in range(size - 1)], axis=-1)
+        toeplitz = lags[..., abs(np.arange(size)[:, None] - np.arange(size))]
+        own = _gram(block_rows, weights, dot, tmp) - 2.0 * toeplitz
+        hess[..., start : start + size, start : start + size] = pacf_sign * own
+        jac[start : start + size, start : start + size] = pacf_jac * sech2
+        nat_curv = pacf_sign * np.einsum("...i,ilm->...lm", by_coef.T, pacf_curv) * np.outer(sech2, sech2)
+        curv[..., start : start + size, start : start + size] = nat_curv
     pos = q + p
     if spec.fractional != "none":
         if spec.fractional == "artfima":
             lam, damp = nat.lambda_, math.exp(-nat.lambda_)
-            per_temper = np.divide(weights, _temper(lam, half_sin2, work[0]), out=work[0])
-            slope = -2.0 * math.expm1(-lam) * damp * total(per_temper)
+            temper = _temper(lam, half_sin2, work[0])
+            per_temper = np.divide(weights, temper, out=work[1])
+            by_temper = total(per_temper)
+            slope = -2.0 * math.expm1(-lam) * damp * by_temper
             slope -= 4.0 * damp * dot(per_temper, half_sin2)  # sum_k w_k T'_k / T_k
             grad[..., pos + 1] = -nat.d * lam * slope
+            slope_row = np.multiply(half_sin2, -4.0 * damp * lam, out=rows[pos + 1])
+            slope_row -= 2.0 * math.expm1(-lam) * damp * lam
+            slope_row /= temper  # M = d L / d log lambda, whose weighted sum is lambda * slope
+            by_square = dot(np.square(slope_row, out=work[2]), weights)
+            lam_lam = (1.0 - lam) * lam * slope - by_square + 2.0 * (lam * damp) ** 2 * by_temper
+            hess[..., pos, pos + 1] = hess[..., pos + 1, pos] = -lam * slope
+            hess[..., pos + 1, pos + 1] = -nat.d * lam_lam
+            slope_row *= -nat.d
         grad[..., pos] = -dot(weights, log_temper)
+        np.negative(log_temper, out=rows[pos])
         if spec.fractional == "arfima":
-            grad[..., pos] *= 0.5 * _sech2(vector[pos])
+            jac[pos, pos] = 0.5 * _sech2(vector[pos])
+            grad[..., pos] *= jac[pos, pos]
         pos += 1 if spec.fractional == "arfima" else 2
     grad[..., pos] = scale_score
+    rows[pos].fill(1.0)
+    # the PACF coordinates and ARFIMA's d_tilde, all tanh, lead the vector
+    tanh_end = q + p + (spec.fractional == "arfima")
+    tanh_diag = np.arange(tanh_end)
+    curv[..., tanh_diag, tanh_diag] -= 2.0 * np.tanh(vector[:tanh_end]) * grad[..., :tanh_end]
+    # the outer products: -(w + 1) s^2 + w s (1 - s) on the base block, with s = 1 unwrapped
+    pair_weight, share = work[0], work[1]
     if spec.sv_wrapper:
-        grad[..., pos + 1] = noise_score
-    return grad
+        np.subtract(1.0, noise, out=share)
+        np.subtract(dens, weights, out=pair_weight)
+        pair_weight -= share
+        pair_weight *= share
+    else:
+        np.subtract(-1.0, weights, out=pair_weight)
+    hess[..., :base, :base] += _gram(rows[:base], pair_weight, dot, work[3])
+    if spec.sv_wrapper:
+        grad[..., base] = noise_score
+        # -(w + 1) (1 - s) s - w s (1 - s) across, and w s (1 - s) - (w + 1) (1 - s)^2 on log sigma2_eps
+        np.multiply(np.add(weights, dens, out=pair_weight), 2.0, out=pair_weight)
+        pair_weight += 1.0
+        pair_weight *= share
+        pair_weight *= noise
+        hess[..., :base, base] = hess[..., base, :base] = -dot(rows[:base], pair_weight).T
+        np.subtract(weights, dens, out=pair_weight)
+        pair_weight -= noise
+        pair_weight *= noise
+        hess[..., base, base] = total(pair_weight)
+    return grad, jac.T @ hess @ jac + curv
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
@@ -403,6 +473,12 @@ _PRIOR_LOG_SIGMA2_EPS = (0.0, 0.1)
 _PRIOR_FRACTIONAL = {"none": (), "arfima": (_PRIOR_MEMORY,), "artfima": (_PRIOR_MEMORY, _PRIOR_LOG_LAMBDA)}
 
 
+def _gaussian_priors(spec: ModelSpec) -> tuple:
+    """(mean, sd) of every coordinate after the AR and MA blocks, in order."""
+    priors = _PRIOR_FRACTIONAL[spec.fractional] + (_PRIOR_LOG_SIGMA2,)
+    return priors + (_PRIOR_LOG_SIGMA2_EPS,) * spec.sv_wrapper
+
+
 def log_prior(spec: ModelSpec, vector) -> float:
     """Log prior density of an unconstrained vector.
 
@@ -421,9 +497,20 @@ def log_prior(spec: ModelSpec, vector) -> float:
     size = np.abs(vector[:block])
     soft = np.log1p(np.exp(-2.0 * size)).tolist()
     total = _float_sum([-2.0 * (s + c - math.log(2.0)) - math.log(2.0) for s, c in zip(size.tolist(), soft)])
-    priors = _PRIOR_FRACTIONAL[spec.fractional] + (_PRIOR_LOG_SIGMA2,)
-    priors += (_PRIOR_LOG_SIGMA2_EPS,) * spec.sv_wrapper
-    for x, (mean, sd) in zip(vector[block:].tolist(), priors):
+    for x, (mean, sd) in zip(vector[block:].tolist(), _gaussian_priors(spec)):
         z = (x - mean) / sd
         total += -0.5 * (z * z + LOG_TWO_PI) - math.log(sd)
     return total
+
+
+def log_prior_derivatives(spec: ModelSpec, vector) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`log_prior` with its exact gradient and Hessian diagonal, which is all of its Hessian.
+
+    A PACF coordinate v contributes -2 tanh v and -2 sech^2 v; a Gaussian
+    coordinate -(v - mean)/sd^2 and -1/sd^2.
+    """
+    vector = np.asarray(vector, dtype=float)
+    block = spec.ar_order + spec.ma_order
+    mean, sd = np.array(_gaussian_priors(spec), dtype=float).reshape(-1, 2).T
+    grad = np.concatenate([-2.0 * np.tanh(vector[:block]), -(vector[block:] - mean) / sd**2])
+    return log_prior(spec, vector), grad, np.concatenate([-2.0 * _sech2(vector[:block]), -1.0 / sd**2])

@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .models import ParameterRangeError, _float_sum
-from .whittle import GroupIndex, fd_gradient, full_loglik
+from .whittle import GroupIndex, full_loglik
 
 
 @dataclass(frozen=True)
@@ -144,49 +145,57 @@ class ModeResult:
 
 
 def find_mode(data, log_prior_fn, theta0) -> ModeResult:
-    """Maximize the log posterior by quasi-Newton ascent.
+    """Maximize the log posterior by trust-region Newton steps on its exact curvature.
 
-    Each BFGS evaluation is one pass over the data,
-    ``data.loglik_and_score``, which gives the log-likelihood with its exact
-    gradient; the prior's gradient is a central difference.  A trial point
-    outside the model's range (``ParameterRangeError``, or a log posterior
-    that is not finite) has objective +inf, so the line search backs off
-    from it.  At the optimum the value and gradient come from the same
-    pass, and the curvature is the symmetrized central difference of that
-    gradient, 2 * dim more passes.  Exits only if the gradient norm is below
-    1e-5 * (1 + |log posterior|); a curvature that is not negative definite
-    at the optimum is an error rather than something to patch over.
+    ``log_prior_fn(v)`` gives the log prior's value, gradient and Hessian
+    diagonal (``models.log_prior_derivatives``), one data pass the
+    log-likelihood's (``data.loglik_derivatives``), and scipy's
+    ``trust-exact`` (More & Sorensen 1983) steps on their sum.  A point
+    outside the model's range (``ParameterRangeError``, or a value or
+    derivative beyond 1e150, whose square overflows) has objective +inf, so
+    the trust region shrinks away from it.  Exits only if |grad| < 1e-5 *
+    (1 + |log posterior|); the curvature is the exact Hessian at the mode,
+    and one not negative definite is an error.
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    passes = {}
 
-    def log_post_and_grad(v):
-        loglik, score = data.loglik_and_score(v)
-        return loglik + log_prior_fn(v), score + fd_gradient(log_prior_fn, v)
-
-    def objective(v):
-        try:
-            with np.errstate(all="ignore"):
-                value, grad = log_post_and_grad(v)
-        except ParameterRangeError:
-            return math.inf, np.zeros_like(v)
-        if not (math.isfinite(value) and np.all(np.isfinite(grad))):
-            return math.inf, np.zeros_like(v)
-        return -value, -grad
+    def negated(v):
+        """-(log posterior), its gradient and Hessian at v, from one pass per distinct v."""
+        key = v.tobytes()
+        if key not in passes:
+            passes[key] = (math.inf, np.zeros_like(v), np.zeros((v.size, v.size)))
+            try:
+                with np.errstate(all="ignore"):
+                    loglik = data.loglik_derivatives(v)
+                    prior = log_prior_fn(v)
+            except ParameterRangeError:
+                return passes[key]
+            parts = (loglik[0] + prior[0], loglik[1] + prior[1], loglik[2] + np.diag(prior[2]))
+            if all(np.all(np.abs(part) < 1e150) for part in parts):
+                passes[key] = tuple(-part for part in parts)
+        return passes[key]
 
     result = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": 1e-9, "maxiter": 1000},
+        lambda v: negated(v)[0], theta0, method="trust-exact", options={"gtol": 1e-9, "maxiter": 1000},
+        jac=lambda v: negated(v)[1], hess=lambda v: negated(v)[2],
     )
     mode = np.asarray(result.x, dtype=float)
-    value, grad = log_post_and_grad(mode)
+    # trust-exact compares values, so it stops once a step gains less than their
+    # rounding; Newton steps go on while each halves the exact gradient
+    while True:
+        _, grad, hess = negated(mode)
+        try:  # scipy's Cholesky, which trust-exact has already loaded
+            trial = mode - cho_solve(cho_factor(hess), grad)
+        except np.linalg.LinAlgError:  # no minimum here; the curvature check says so
+            break
+        trial_value, trial_grad, _ = negated(trial)
+        if not (trial_value < math.inf and np.linalg.norm(trial_grad) < 0.5 * np.linalg.norm(grad)):
+            break
+        mode = trial
+    value, grad, hessian = (-part for part in negated(mode))
     grad_norm = float(np.linalg.norm(grad))
-    if not grad_norm < 1e-5 * (1.0 + abs(value)):
+    if not (math.isfinite(value) and grad_norm < 1e-5 * (1.0 + abs(value))):
         raise ValueError(f"mode search did not converge: |grad| = {grad_norm:.3e}")
-    hessian = fd_gradient(lambda v: log_post_and_grad(v)[1], mode)
-    hessian = 0.5 * (hessian + hessian.T)
     try:
         np.linalg.cholesky(-hessian)
     except np.linalg.LinAlgError as exc:

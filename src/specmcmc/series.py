@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,14 +67,27 @@ def load_series(path: str | Path, column: int = 0) -> TimeSeries:
 
     Lines starting with ``#`` and blank lines are skipped.  Records may be a
     single number or a comma/whitespace delimited row, in which case
-    ``column`` selects the field.  Parse failures report the 1-based line
-    number of the offending record; every content failure is a
+    ``column`` selects the field.  ``np.loadtxt`` reads a file it splits as
+    the line loop does, giving the loop's bytes, if it finds two or more
+    values, all finite; otherwise the loop reads it.  Parse failures report
+    the 1-based line number of the offending record; every content failure is a
     ``SeriesFileError``.  A negative ``column`` raises ``ValueError`` before
     the file is opened.
     """
     if column < 0:
         raise ValueError(f"column must be non-negative, not {column}")
-    values = []
+    text = Path(path).read_text()
+    # loadtxt cuts a line at any '#' and never splits on commas: only files
+    # with no comma and no '#' after other text on its line take it
+    hashes = (text[text.rfind("\n", 0, m.start()) + 1 : m.start()] for m in re.finditer("#", text))
+    if "," not in text and not any(prefix.strip() for prefix in hashes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data; the loop raises
+            try:  # TimeSeries refuses fewer than two values and non-finite ones
+                return TimeSeries(np.loadtxt(path, comments="#", usecols=column, ndmin=1))
+            except ValueError:
+                pass
+    values = []  # the loop alone raises, naming the line at fault
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             # A line float() takes whole is one field, so for column 0 it is

@@ -5,9 +5,9 @@ f(omega_k)), formed by the density kernel in ``models``, which keeps the
 fractional factor in log space: one log per frequency, no power.
 Everything downstream (subsampling, control variates) only needs the
 ability to evaluate those terms on an arbitrary index subset, so that is
-the interface ``WhittleData`` exposes, beside the exact gradient of the
-whole or grouped sum (``loglik_and_score``); test doubles with the same
-two methods can stand in for it.
+the interface ``WhittleData`` exposes, beside the exact gradient and
+Hessian of the whole or grouped sum (``loglik_derivatives``); test doubles
+with the same two methods can stand in for it.
 
 Frequencies are grouped by stride.  ``GroupIndex`` is the pair (n_freq,
 n_groups) and the one place that knows the layout: the members of picked
@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .models import ModelSpec, density_from_trig, log_density_score, to_natural, trig_table
+from .models import ModelSpec, density_from_trig, log_density_derivatives, to_natural, trig_table
 from .spectral import Periodogram
 
 
@@ -63,32 +63,32 @@ class WhittleData:
         density_from_trig(self.model, nat, trig, buf[0], buf[1], ordinates)
         return buf[0, 0]
 
-    def loglik_and_score(self, theta, groups: GroupIndex | None = None):
-        """Whittle log-likelihood and its gradient in theta, from one pass.
+    def loglik_derivatives(self, theta, groups: GroupIndex | None = None):
+        """Whittle log-likelihood with its exact gradient and Hessian in theta, from one pass.
 
-        Without ``groups`` the value equals ``full_loglik`` bit for bit and the
-        gradient is the exact sum_k (I_k/f_k - 1) grad log f_k
-        (``models.log_density_score``), at the cost of about two more passes
-        of arithmetic, where a central difference costs 2 * dim whole passes.
-        With a ``GroupIndex`` both are per group: values of shape (n_groups,),
-        equal bit for bit to ``groups.sums(terms(theta))``, and gradients of
-        shape (n_groups, dim).
+        Without ``groups`` the value equals ``full_loglik`` bit for bit, and
+        ``models.log_density_derivatives`` gives the gradient and Hessian.
+        With a ``GroupIndex`` all three are per group: (n_groups,), equal bit
+        for bit to ``groups.sums(terms(theta))``, (n_groups, dim) and
+        (n_groups, dim, dim).  Besides a (7, n_freq) buffer it uses one (dim, n_freq) block.
         """
         if groups is None:
             total, dot = np.sum, np.matmul
         else:
-            total, dot = groups.sums, lambda a, b: groups.sums(a * b)
+            total = groups.sums  # dot goes row by row, so no (rows, n_freq) product is formed
+            dot = lambda a, b: np.array([groups.sums(row * b) for row in a]) if a.ndim > 1 else groups.sums(a * b)
         nat = to_natural(self.model, theta)
-        buf = np.empty((7, self.n_freq))  # the kernel's rows, then the score's scratch
+        buf = np.empty((7, self.n_freq))  # the kernel's rows, then the derivatives' scratch
+        rows = np.empty((self.model.n_params, self.n_freq))
         ordinates = self.periodogram.ordinates
         log_temper, dens = density_from_trig(self.model, nat, self._trig, buf[:2], buf[2:4], ordinates)
         terms, weights = buf[:2]
         value = total(terms)
         weights -= 1.0
-        score = log_density_score(
-            self.model, theta, nat, self._trig, weights, dens, log_temper, (terms, *buf[4:]), total, dot
+        score, hessian = log_density_derivatives(
+            self.model, theta, nat, self._trig, weights, dens, log_temper, (terms, *buf[4:]), rows, total, dot
         )
-        return value, score
+        return value, score, hessian
 
 
 @dataclass(frozen=True)
@@ -143,37 +143,12 @@ def full_loglik(data, theta) -> float:
     return float(np.sum(data.terms(theta)))
 
 
-def fd_gradient(fun, x) -> np.ndarray:
-    """Central-difference gradient of a scalar- or vector-valued function.
-
-    Steps are h_j = max(1e-5, 1e-7 * |x_j|).  For vector-valued ``fun`` the
-    derivative axis is appended last.  Raises if any stencil evaluation is
-    non-finite.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.maximum(1e-5, 1e-7 * np.abs(x))
-    columns = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h[j]
-        plus = np.asarray(fun(x + e), dtype=float)
-        minus = np.asarray(fun(x - e), dtype=float)
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
-            raise ValueError(f"non-finite objective in difference stencil around {x!r}")
-        columns.append((plus - minus) / (2.0 * h[j]))
-    return np.stack(columns, axis=-1)
-
-
 def grad_hess(data, g: GroupIndex, theta_star):
     """Per-group value, gradient, and Hessian of the log-likelihood.
 
     Returns arrays of shapes (n_groups,), (n_groups, dim) and
-    (n_groups, dim, dim).  Values and exact gradients come from one grouped
-    pass of ``data.loglik_and_score``; the Hessians are the symmetrized
-    central difference of those gradients, 2 * dim more passes.  Every pass
-    covers all frequencies regardless of the number of groups.
+    (n_groups, dim, dim), all exact, from one grouped pass of
+    ``data.loglik_derivatives`` over all frequencies, whatever the number of
+    groups.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
-    values, grads = data.loglik_and_score(theta_star, g)
-    hess = fd_gradient(lambda v: data.loglik_and_score(v, g)[1], theta_star)
-    return values, grads, 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    return data.loglik_derivatives(np.asarray(theta_star, dtype=float), g)

@@ -53,17 +53,19 @@ class QuadraticTerms:
         quad = np.einsum("kij,i,j->k", hessians, delta, delta)
         return consts + grads @ delta + 0.5 * quad
 
-    def loglik_and_score(self, theta, groups=None):
-        """Summed terms, as ``full_loglik`` gives them, and their gradient sum_i g_i + H_i delta.
+    def loglik_derivatives(self, theta, groups=None):
+        """Summed terms, as ``full_loglik`` gives them, with their gradient sum_i g_i + H_i delta and Hessian sum_i H_i.
 
-        With a ``GroupIndex`` both are per group, as ``groups.sums`` adds them.
+        With a ``GroupIndex`` all three are per group, as ``groups.sums`` adds them.
         """
         delta = np.asarray(theta, dtype=float) - self.center
         terms = self.terms(theta)
         if groups is None:
-            return float(np.sum(terms)), self.grads.sum(axis=0) + self.hessians.sum(axis=0) @ delta
+            hessian = self.hessians.sum(axis=0)
+            return float(np.sum(terms)), self.grads.sum(axis=0) + hessian @ delta, hessian
         per_term = self.grads + self.hessians @ delta
-        return groups.sums(terms), groups.sums(per_term.T).T
+        hessians = np.moveaxis(groups.sums(np.moveaxis(self.hessians, 0, -1)), -1, 0)
+        return groups.sums(terms), groups.sums(per_term.T).T, hessians
 
     def total_mode(self) -> np.ndarray:
         """Maximizer of the summed terms (flat prior)."""
@@ -114,8 +116,34 @@ def arma11_data():
     model = sm.ModelSpec(1, 1)
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=model)
     log_prior_fn = lambda v: sm.log_prior(model, v)
-    mode = sm.find_mode(data, log_prior_fn, np.zeros(model.n_params))
+    mode = sm.find_mode(data, lambda v: sm.log_prior_derivatives(model, v), np.zeros(model.n_params))
     return data, log_prior_fn, mode
+
+
+def flat_prior(v):
+    """A flat log prior with its derivatives, in the form ``find_mode`` takes."""
+    return 0.0, np.zeros_like(v), np.zeros_like(v)
+
+
+def fd_gradient(fun, x) -> np.ndarray:
+    """Central-difference gradient of a scalar- or vector-valued function: the derivative tests' oracle.
+
+    Steps are h_j = max(1e-5, 1e-7 * |x_j|).  For vector-valued ``fun`` the
+    derivative axis is appended last.  Raises if any stencil evaluation is
+    non-finite.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.maximum(1e-5, 1e-7 * np.abs(x))
+    columns = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h[j]
+        plus = np.asarray(fun(x + e), dtype=float)
+        minus = np.asarray(fun(x - e), dtype=float)
+        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+            raise ValueError(f"non-finite objective in difference stencil around {x!r}")
+        columns.append((plus - minus) / (2.0 * h[j]))
+    return np.stack(columns, axis=-1)
 
 
 # Orders 0-4, every fractional kind, with and without the volatility wrapper.

@@ -24,7 +24,7 @@ def arma21_fit():
     model = sm.ModelSpec(2, 1)
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=model)
     prior = lambda v: sm.log_prior(model, v)
-    mode = sm.find_mode(data, prior, np.zeros(model.n_params))
+    mode = sm.find_mode(data, lambda v: sm.log_prior_derivatives(model, v), np.zeros(model.n_params))
 
     full = sm.run_full_chain(
         data, prior, sm.ChainSettings(iterations=20_000, burn_in=2_000, seed=101), mode
@@ -50,7 +50,7 @@ def tempered_fit():
     model = sm.ModelSpec(0, 0, fractional="artfima")
     data = sm.WhittleData(periodogram=sm.periodogram(sm.demean(ts)), model=model)
     prior = lambda v: sm.log_prior(model, v)
-    mode = sm.find_mode(data, prior, np.zeros(model.n_params))
+    mode = sm.find_mode(data, lambda v: sm.log_prior_derivatives(model, v), np.zeros(model.n_params))
 
     full = sm.run_full_chain(
         data, prior, sm.ChainSettings(iterations=3_000, burn_in=1_000, seed=11), mode
@@ -184,7 +184,7 @@ def test_criterion_08_grouping_does_not_inflate_variance():
     model = sm.ModelSpec(0, 0, fractional="artfima")
     data = sm.WhittleData(periodogram=sm.periodogram(sm.demean(ts)), model=model)
     prior = lambda v: sm.log_prior(model, v)
-    mode = sm.find_mode(data, prior, np.zeros(model.n_params))
+    mode = sm.find_mode(data, lambda v: sm.log_prior_derivatives(model, v), np.zeros(model.n_params))
     theta = mode.theta + np.sqrt(np.diag(mode.laplace_cov))
 
     grouped = sm.make_groups(data.n_freq, 100)

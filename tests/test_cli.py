@@ -1,6 +1,7 @@
 """Config parsing, the four subcommands, and reproducible artifacts."""
 
 import csv
+import math
 import dataclasses
 import re
 import textwrap
@@ -542,3 +543,36 @@ def test_simulate_requires_simulate_source(tmp_path, capsys):
     )
     assert main(["simulate", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_fit_data_in_large_units(tmp_path, capsys):
+    # a series scaled by e^50 has variance e^100; the mode search starts log
+    # sigma2 at the white-noise mode, log(2 pi mean I), and not at zero, 100
+    # below the data's scale, from where it did not converge
+    sim = sm.simulate_arma([0.4], [0.2], 1.0, 2001, seed=13)
+    path = tmp_path / "large.txt"
+    path.write_text("".join(repr(v) + "\n" for v in (sim.values * math.exp(50.0)).tolist()))
+    cfg = write_ini(
+        tmp_path / "large.ini",
+        f"""
+        [data]
+        path = {path}
+
+        [model]
+        family = arma
+        ar_order = 1
+        ma_order = 1
+
+        [sampler]
+        iterations = 200
+        burn_in = 50
+
+        [output]
+        directory = {tmp_path / "large_out"}
+        """,
+    )
+    assert main(["fit", cfg]) == 0, capsys.readouterr().err
+    summary = dict(
+        line.split("=", 1) for line in (tmp_path / "large_out" / "summary.txt").read_text().splitlines()
+    )
+    assert float(summary["posterior_mean_log_sigma2"]) == pytest.approx(100.0, abs=0.5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import specmcmc as sm
 from specmcmc import sampler
-from conftest import make_quadratic_stub
+from conftest import flat_prior, make_quadratic_stub
 
 
 def make_sub(u, n_blocks, n_groups):
@@ -199,7 +199,7 @@ def test_find_mode_white_noise_closed_form():
     # log(2 pi * mean ordinate), with curvature -n_freq there
     ts = sm.demean(sm.simulate_arma([], [], 1.3, 2049, seed=8))
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(0, 0))
-    mode = sm.find_mode(data, lambda v: 0.0, np.zeros(1))
+    mode = sm.find_mode(data, flat_prior, np.zeros(1))
     expected = np.log(2 * np.pi * data.periodogram.ordinates.mean())
     assert mode.theta[0] == pytest.approx(expected, abs=1e-6)
     assert mode.hessian[0, 0] == pytest.approx(-data.n_freq, rel=1e-4)
@@ -217,7 +217,7 @@ def test_find_mode_rejects_flat_objective():
         center=stub.center,
     )
     with pytest.raises(ValueError, match="negative definite"):
-        sm.find_mode(flat, lambda v: 0.0, stub.center)
+        sm.find_mode(flat, flat_prior, stub.center)
 
 
 def quad_mode(stub):
@@ -446,44 +446,46 @@ def test_chains_reject_out_of_range_proposals():
 def test_find_mode_from_a_far_start(arma11_data):
     # log sigma2 = 705 is near the top of the range of exp; the search from
     # there ends at the mode found from zero
-    data, log_prior_fn, mode = arma11_data
-    far = sm.find_mode(data, log_prior_fn, np.array([0.0, 0.0, 705.0]))
+    data, _, mode = arma11_data
+    prior = lambda v: sm.log_prior_derivatives(data.model, v)
+    far = sm.find_mode(data, prior, np.array([0.0, 0.0, 705.0]))
     sd = np.sqrt(np.diag(mode.laplace_cov))
     assert np.all(np.abs(far.theta - mode.theta) < 1e-3 * sd)
     assert far.log_posterior == pytest.approx(mode.log_posterior, rel=1e-12)
 
 
 @dataclasses.dataclass(frozen=True)
-class WalledQuadratic:
-    """A quadratic stub whose first coordinate is out of range beyond ``wall``."""
+class Walled:
+    """Data whose first coordinate is out of range below ``wall``."""
 
-    stub: object
+    data: object
     wall: float
     hits: list = dataclasses.field(default_factory=list)
 
     def __getattr__(self, name):
-        return getattr(self.stub, name)
+        return getattr(self.data, name)
 
-    def loglik_and_score(self, theta):
-        if theta[0] - self.stub.center[0] > self.wall:
+    def loglik_derivatives(self, theta):
+        if theta[0] < self.wall:
             self.hits.append(theta.copy())
             raise sm.ParameterRangeError("past the wall")
-        return self.stub.loglik_and_score(theta)
+        return self.data.loglik_derivatives(theta)
 
 
 def test_find_mode_backs_off_from_out_of_range_trial_points():
-    # the mode sits at delta = 0.2 inside a wall at 0.3, with curvature -5;
-    # BFGS's first step is the gradient capped at length 1.01, so from
-    # delta = -0.6 it lands at 0.41, past the wall, and that trial point is
-    # +inf for the minimizer instead of ending the search
-    stub = make_quadratic_stub(np.random.default_rng(4), n_terms=10, dim=1)
-    stub = dataclasses.replace(
-        stub, grads=np.full((10, 1), 0.1), hessians=np.full((10, 1, 1), -0.5)
-    )
-    walled = WalledQuadratic(stub, wall=0.3)
-    mode = sm.find_mode(walled, lambda v: 0.0, stub.center - 0.6)
+    # white noise, flat prior: in u = log sigma2 - mode the log-likelihood is
+    # -n_freq (u + exp(-u)) + const, so from above the mode a Newton step
+    # overshoots it.  From u = 2 the first step is cut to the trust radius,
+    # 1, and lands at u = 1; the radius doubles, and Newton's step from
+    # there, to u = 1 - (e - 1) = -0.72, is a trial point past the wall at
+    # u = -0.1, which is +inf for the minimizer instead of ending the search
+    ts = sm.demean(sm.simulate_arma([], [], 1.3, 2049, seed=8))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(0, 0))
+    expected = np.log(2 * np.pi * data.periodogram.ordinates.mean())
+    walled = Walled(data, wall=expected - 0.1)
+    mode = sm.find_mode(walled, flat_prior, np.array([expected + 2.0]))
     assert walled.hits
-    assert mode.theta[0] == pytest.approx(stub.total_mode()[0], abs=1e-8)
+    assert mode.theta[0] == pytest.approx(expected, abs=1e-8)
 
 
 def test_full_chain_rejects_overflowing_proposals_without_warning():
@@ -495,7 +497,7 @@ def test_full_chain_rejects_overflowing_proposals_without_warning():
     ts = sm.demean(sm.simulate_arma([0.4], [], 1.0, 512, seed=11))
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=spec)
     log_prior_fn = lambda v: sm.log_prior(spec, v)
-    mode = sm.find_mode(data, log_prior_fn, np.zeros(2))
+    mode = sm.find_mode(data, lambda v: sm.log_prior_derivatives(spec, v), np.zeros(2))
     settings = sm.ChainSettings(iterations=400, burn_in=100, seed=11, proposal_scale=1e8)
     out = sm.run_full_chain(data, log_prior_fn, settings, mode)
     assert np.all(np.isfinite(out.draws)) and np.all(np.isfinite(out.loglik_trace))

@@ -202,3 +202,28 @@ def test_load_series_fast_path_matches_the_split_path(tmp_path_factory, lines, c
         assert str(caught.value) == str(exc)
     else:
         np.testing.assert_array_equal(sm.load_series(path, column).values, expected)
+
+
+def test_load_series_loadtxt_path_gives_the_loops_bytes(tmp_path, monkeypatch):
+    # comments, blank lines and whitespace-separated columns go through
+    # np.loadtxt, for column 0 and beyond; its values are the loop's bytes
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-5, 6, size=(50, 3))
+    lines = ["# header", ""] + [f" {a!r}\t{b!r}   {c!r} " for a, b, c in table.tolist()]
+    lines[20:20] = ["   # a comment after blanks", "\t", ""]
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(lines) + "\n")
+    read = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: read.append(args) or loadtxt(*args, **kwargs))
+    for column in range(3):
+        loaded = sm.load_series(path, column)
+        assert loaded.values.tobytes() == line_by_line_load(path, column).values.tobytes()
+        assert loaded.values.tobytes() == table[:, column].tobytes()
+    assert len(read) == 3
+    # a '#' after a value, or a comma, would split differently: the loop reads those
+    path.write_text("# header\n1.5 # note\n2.5\n")
+    np.testing.assert_array_equal(sm.load_series(path).values, [1.5, 2.5])
+    path.write_text("1.5, 7\n2.5, 8\n")
+    np.testing.assert_array_equal(sm.load_series(path, 1).values, [7.0, 8.0])
+    assert len(read) == 3

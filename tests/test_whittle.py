@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
-from conftest import make_quadratic_stub, specs_with_vectors
+from conftest import fd_gradient, make_quadratic_stub, specs_with_vectors
 
 
 def small_data(seed=1, n_time=257, model=None):
@@ -107,13 +107,13 @@ def test_taylor_coefficients_exact_on_quadratic():
 
 
 def test_fd_gradient_and_hessian_scalar():
-    # f = sin(x) exp(y / 2); find_mode and grad_hess take the Hessian as the
-    # central difference of an exact gradient, with the derivative axis last
+    # f = sin(x) exp(y / 2); the derivative tests check exact Hessians against
+    # this oracle's central difference of an exact gradient, derivative axis last
     fun = lambda v: math.sin(v[0]) * math.exp(0.5 * v[1])
     exact_grad = lambda v: np.array([math.cos(v[0]), 0.5 * math.sin(v[0])]) * math.exp(0.5 * v[1])
     x = np.array([0.7, -0.3])
-    np.testing.assert_allclose(sm.fd_gradient(fun, x), exact_grad(x), rtol=1e-8)
-    hess = sm.fd_gradient(exact_grad, x)
+    np.testing.assert_allclose(fd_gradient(fun, x), exact_grad(x), rtol=1e-8)
+    hess = fd_gradient(exact_grad, x)
     s, c = math.sin(0.7) * math.exp(-0.15), math.cos(0.7) * math.exp(-0.15)
     expected = np.array([[-s, 0.5 * c], [0.5 * c, 0.25 * s]])
     np.testing.assert_allclose(hess, expected, rtol=1e-9)
@@ -123,7 +123,7 @@ def test_fd_rejects_non_finite_stencil():
     # the stencil at 1e-7 steps to negative arguments, where fun is nan
     fun = lambda v: float("nan") if v[0] < 0 else math.sqrt(v[0])
     with pytest.raises(ValueError, match="non-finite"):
-        sm.fd_gradient(fun, np.array([1e-7]))
+        fd_gradient(fun, np.array([1e-7]))
 
 
 SMALL_PERIODOGRAM = small_data().periodogram
@@ -233,18 +233,18 @@ def root_distance(nat) -> float:
 
 @settings(deadline=None)
 @given(specs_with_vectors(bound=2.0))
-def test_loglik_and_score_matches_central_differences(case):
+def test_loglik_derivatives_match_central_differences(case):
     spec, theta = case
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
     assume(root_distance(sm.to_natural(spec, theta)) >= MIN_ROOT_DISTANCE)
-    value, score = data.loglik_and_score(theta)
+    value, score, _ = data.loglik_derivatives(theta)
     assert value == sm.full_loglik(data, theta)
     terms = data.terms(theta)
     tol = SCORE_RTOL * float(np.sum(np.abs(terms)))
     np.testing.assert_allclose(score, central_score(data, theta), rtol=0, atol=tol)
     # per group, for the Taylor variate: 7 groups leave 2 frequencies over
     groups = sm.make_groups(data.n_freq, 7)
-    values, grads = data.loglik_and_score(theta, groups)
+    values, grads, _ = data.loglik_derivatives(theta, groups)
     np.testing.assert_array_equal(values, groups.sums(terms))
     assert grads.shape == (7, spec.n_params)
     # regrouping the same per-frequency contributions only rounds differently
@@ -254,6 +254,41 @@ def test_loglik_and_score_matches_central_differences(case):
     assert np.all(np.abs(grads - group_diffs) <= group_tol[:, None])
 
 
+# fd_gradient's step, 1e-5, leaves a truncation error of h^2/6 |F^(4)| in the
+# difference of the score, which near a root at distance delta from the unit
+# circle grows like delta^-4; at delta >= 0.1 it stayed under 2e-7 of sum_k
+# |l_k| over 300 examples, and the tolerance is 50 times that.
+HESS_RTOL = 1e-5
+MIN_HESS_ROOT_DISTANCE = 0.1
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0))
+def test_hessians_match_differences_of_the_exact_score(case):
+    # every model kind, the volatility wrapper included: the exact Hessian,
+    # whole and per group, against the central difference of the exact
+    # score, and the prior's gradient and Hessian diagonal against
+    # differences of the prior and of that gradient
+    spec, theta = case
+    data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
+    assume(root_distance(sm.to_natural(spec, theta)) >= MIN_HESS_ROOT_DISTANCE)
+    terms = data.terms(theta)
+    _, _, hessian = data.loglik_derivatives(theta)
+    differences = fd_gradient(lambda v: data.loglik_derivatives(v)[1], theta)
+    assert np.all(np.abs(hessian - differences) <= HESS_RTOL * np.sum(np.abs(terms)))
+    groups = sm.make_groups(data.n_freq, 7)
+    _, _, hessians = data.loglik_derivatives(theta, groups)
+    assert hessians.shape == (7, spec.n_params, spec.n_params)
+    differences = fd_gradient(lambda v: data.loglik_derivatives(v, groups)[1], theta)
+    group_tol = HESS_RTOL * groups.sums(np.abs(terms))
+    assert np.all(np.abs(hessians - differences) <= group_tol[:, None, None])
+    value, grad, diag = sm.log_prior_derivatives(spec, theta)
+    assert value == sm.log_prior(spec, theta)
+    np.testing.assert_allclose(grad, fd_gradient(lambda v: sm.log_prior(spec, v), theta), rtol=0, atol=1e-7)
+    prior_hessian = fd_gradient(lambda v: sm.log_prior_derivatives(spec, v)[1], theta)
+    np.testing.assert_allclose(prior_hessian, np.diag(diag), rtol=0, atol=1e-7)
+
+
 def test_score_is_the_limit_of_differences_near_a_unit_root():
     # at the MA(3) example above the difference misses the score by 0.10 at
     # h = 1e-6; that miss shrinks 100-fold per tenfold smaller step, the h^2
@@ -261,7 +296,7 @@ def test_score_is_the_limit_of_differences_near_a_unit_root():
     spec, theta = sm.ModelSpec(0, 3), np.array([0.0, 1.75, 1.75, 1.75])
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
     assert root_distance(sm.to_natural(spec, theta)) < 2e-3
-    _, score = data.loglik_and_score(theta)
+    _, score, _ = data.loglik_derivatives(theta)
     misses = [abs(central_score(data, theta, h)[0] - score[0]) for h in (1e-4, 1e-5, 1e-6)]
     assert misses[0] > 100.0
     for coarse, fine in zip(misses, misses[1:]):
@@ -280,7 +315,7 @@ def test_memory_score_is_nonzero_at_zero_memory(spec, theta):
     # the density skips the fractional factor at d = 0, but the derivative in
     # the memory coordinate (index 2) is -sum_k (I_k/f_k - 1) log T_k there
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
-    _, score = data.loglik_and_score(theta)
+    _, score, _ = data.loglik_derivatives(theta)
     assert score[2] != 0.0
     tol = SCORE_RTOL * float(np.sum(np.abs(data.terms(theta))))
     assert abs(score[2] - central_score(data, theta)[2]) <= tol
@@ -327,6 +362,42 @@ def test_arma_terms_keep_their_arithmetic(case):
     np.testing.assert_array_equal(sm.posterior_mean_spectrum(theta[None], spec, grid), np.log(dens))
 
 
+@pytest.mark.parametrize("sv_wrapper", [False, True], ids=["arfima", "arfima_wrapped"])
+def test_arfima_loglik_is_pinned_bit_for_bit(sv_wrapper):
+    # float.hex values recorded before the trig table took over ARFIMA's
+    # parameter-free log(4 sin^2(omega/2)); reading it from the table must
+    # leave the terms, the likelihood and the score as they were
+    pinned = {
+        False: (
+            ["0x1.0fffbbbc61f07p-2", "0x1.504042d11df30p-2", "-0x1.a1c2f967afc6bp+0", "0x1.06ca54af4772ep+1"],
+            ["-0x1.cb9cfa757c9d6p+2", "0x1.83dc271801347p+0"],
+            "0x1.654c7ca3090bap+7",
+            ["0x1.0a33bef6e729bp+9", "0x1.102a754b44950p+9", "0x1.141de53d4e45cp+8", "0x1.d5c75424a5b3ap+6"],
+        ),
+        True: (
+            ["0x1.8960f2ed6afa6p-3", "0x1.00fe25425524ep-2", "-0x1.49d240a3ecf49p+0", "0x1.ad5e8af07e106p+0"],
+            ["-0x1.a04350e7ab817p+2", "0x1.4c444c8bb4f72p+0"],
+            "0x1.538232edaddc0p+7",
+            [
+                "0x1.65f83183b4239p+8", "0x1.699d4d8da8da9p+8", "0x1.86bfd0dbb8946p+7",
+                "0x1.8385529d50824p+4", "-0x1.1178ac1e3541ap+4",
+            ],
+        ),
+    }
+    terms_hex, subset_hex, loglik_hex, score_hex = pinned[sv_wrapper]
+    ts = sm.demean(sm.simulate_arma([0.5], [0.3], 1.0, 801, seed=5))
+    model = sm.ModelSpec(1, 1, fractional="arfima", sv_wrapper=sv_wrapper)
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=model)
+    theta = np.array([0.3, -0.2, 0.25, 0.1] + [-1.0] * sv_wrapper)
+    terms = data.terms(theta)
+    assert [float(terms[i]).hex() for i in (0, 1, 57, 399)] == terms_hex
+    assert [float(x).hex() for x in data.terms(theta, np.array([3, 250]))] == subset_hex
+    value, score, _ = data.loglik_derivatives(theta)
+    assert sm.full_loglik(data, theta).hex() == loglik_hex
+    assert float(value).hex() == loglik_hex
+    assert [float(x).hex() for x in score] == score_hex
+
+
 def test_arma_loglik_is_pinned_bit_for_bit():
     # float.hex values of an ARMA(2,1) fit's likelihood and score, recorded
     # before the fractional factor moved to log space; the ARMA arithmetic
@@ -334,7 +405,7 @@ def test_arma_loglik_is_pinned_bit_for_bit():
     ts = sm.demean(sm.simulate_arma([0.5, -0.3], [0.4], 1.3, 1025, seed=7))
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(2, 1))
     theta = np.array([0.4, -0.25, 0.35, 0.2])
-    value, score = data.loglik_and_score(theta)
+    value, score, _ = data.loglik_derivatives(theta)
     assert sm.full_loglik(data, theta).hex() == "0x1.4340ad705dfa0p+8"
     assert float(value).hex() == "0x1.4340ad705dfa0p+8"
     assert [float(x).hex() for x in score] == [
