@@ -246,8 +246,8 @@ def _prepare(*configs: ExperimentConfig):
     """Data, log prior and posterior mode: all a chain needs besides its settings.
 
     The first config names the data and model.  ``compare`` prepares once and
-    runs the chains of both its configs on the result; each subsampling
-    config's ``group_count`` is checked against the data before the mode search.
+    runs the chains of both its configs on the result; each subsampling config's
+    ``group_count``, and a constant series, are refused before the mode search.
     """
     config = configs[0]
     pgram = spectral.periodogram(_load_data(config))
@@ -258,12 +258,13 @@ def _prepare(*configs: ExperimentConfig):
                 f"group_count = {c.group_count} exceeds n_freq = {data.n_freq}, "
                 "the number of frequencies in the data"
             )
+    if not pgram.ordinates.any():
+        raise series.SeriesFileError("the series is constant: every periodogram ordinate is zero")
     spec = config.model
     log_prior_fn = lambda v: models.log_prior(spec, v)
-    # log sigma2 starts at the white-noise mode, so data in any units start at
-    # their scale; a constant series, whose ordinates are all zero, at zero
-    theta0, scale = np.zeros(spec.n_params), 2.0 * np.pi * pgram.ordinates.mean()
-    theta0[spec.param_names().index("log_sigma2")] = np.log(scale) if scale > 0 else 0.0
+    # log sigma2 starts at the white-noise mode, so data in any units start at their scale
+    theta0 = np.zeros(spec.n_params)
+    theta0[spec.param_names().index("log_sigma2")] = np.log(2.0 * np.pi * pgram.ordinates.mean())
     mode = sampler.find_mode(data, lambda v: models.log_prior_derivatives(spec, v), theta0)
     return data, log_prior_fn, mode
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
+from scipy.signal import lfilter, unit_impulse
 
-from .models import ModelSpec, density_from_trig, to_natural, trig_table
+from .models import LOG_TWO_PI, ModelSpec, NaturalParams, density_from_trig, to_natural, trig_table
 from .sampler import ChainOutput
 from .spectral import FrequencyGrid
 
@@ -102,22 +104,85 @@ def kde_grid(samples, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
+def _cepstrum(nat: NaturalParams, n_time: int, size: int) -> np.ndarray | None:
+    """C_0..C_{K-1} with log f = 2 sum_k C_k cos k*omega (- d L for ARFIMA), or None for K > n_time.
+
+    C_0 = log(sigma2/2pi)/2.  A polynomial c(z) = 1 + sum_j c_j z^j, roots outside the unit circle, has
+    log|c(exp(-i*omega))|^2 = 2 sum_k a_k cos k*omega, k a_k = k c_k - sum_j c_j (k - j) a_{k-j}: one
+    ``lfilter`` with denominator [1, c], at c = theta and, subtracted, c = -phi.  ARTFIMA's -d log T adds
+    d exp(-lambda k)/k.  K doubles from ``size`` until the last half of |C_k| sums below 1e-17.
+    """
+    polys = [(np.concatenate(([1.0], c)), sign) for c, sign in ((nat.theta, 1.0), (-nat.phi, -1.0)) if c.size]
+    while True:
+        size = min(size, n_time)
+        k = np.arange(size, dtype=float)
+        coef = np.zeros(size)  # k C_k until the division
+        for den, sign in polys:
+            coef += sign * lfilter(np.arange(den.size) * den, den, unit_impulse(size))
+        if nat.lambda_ is not None:
+            coef[1:] += nat.d * np.exp(-nat.lambda_ * k[1:])
+        coef[1:] /= k[1:]
+        coef[0] = 0.5 * (math.log(nat.sigma2) - LOG_TWO_PI)
+        if np.abs(coef[size // 2 :]).sum() < 1e-17:
+            return coef
+        if size == n_time:
+            return None
+        size *= 2
+
+
+def _cosine_series(coef: np.ndarray, n_time: int, n_freq: int) -> np.ndarray:
+    """sum_k coef_k cos(2 pi j k / n_time) at j = 1..n_freq, by one chirp convolution at a fast FFT length.
+
+    Bluestein: exp(-2 pi i j k / n) = conj(b_j b_k) b_{j-k} with b_m = exp(i pi m^2 / n), m^2 reduced
+    mod 2n in integers so the phases stay exact.  A zero-padded FFT of length n would do the same, but
+    for n with a large prime factor (100001 = 11 * 9091) it convolves internally at about 2n, in
+    buffers of that size.
+    """
+    size = coef.size
+    chirp = np.arange(1 - size, n_freq + 1)  # m, then b_m
+    chirp = (chirp * chirp % (2 * n_time)) * (1j * np.pi / n_time)
+    np.exp(chirp, out=chirp)
+    length = next_fast_len(2 * size + n_freq - 1)
+    spectrum = np.fft.fft(coef * chirp[size - 1 :: -1].conj(), length)  # b_{-k} = b_k
+    spectrum *= np.fft.fft(chirp, length)
+    series = np.fft.ifft(spectrum, out=spectrum)[size : size + n_freq]
+    np.conjugate(series, out=series)
+    series *= chirp[size:]
+    return series.real
+
+
 def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.ndarray:
     """Posterior mean of log f(omega) over the rows of ``draws``.
 
     Averaging on the log scale keeps the summary stable for long-memory
     models, whose density draws near omega = 0 are heavy-tailed enough that a
-    plain mean would be dominated by a few of them.  A row equal bit for bit
-    to the one before (a rejection, thinned) adds the same log f again.
+    plain mean would be dominated by a few of them.  It is one cosine series in
+    the rows' averaged :func:`_cepstrum`, summed on the grid by one FFT
+    (:func:`_cosine_series`); rows of a wrapped model (log(f_b + c) has no such
+    series), or whose series would exceed n_time terms, add the kernel's log f.
+    A row equal bit for bit to the one before (a rejection, thinned) adds the
+    same again.
     """
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    trig = trig_table(model, grid.omegas)
+    trig = None  # built on first need, for the kernel or ARFIMA's L
     out, work = np.empty((2, 2, grid.n_freq))
-    total = np.zeros(grid.n_freq)
-    previous = None
+    total, cepstrum, memory = np.zeros(grid.n_freq), np.zeros(grid.n_time), 0.0  # memory: sum of d
+    previous, start, terms = None, 64, 1
     for row in draws:
         if (key := row.tobytes()) != previous:
-            density_from_trig(model, to_natural(model, row), trig, out, work)
-            previous = key
-        total += out[0]
+            nat, previous = to_natural(model, row), key
+            coef = None if model.sv_wrapper else _cepstrum(nat, grid.n_time, start)
+            start = start if coef is None else coef.size  # the next row's series is likely as long
+            if coef is None:
+                trig = trig_table(model, grid.omegas) if trig is None else trig
+                density_from_trig(model, nat, trig, out, work)
+        if coef is None:
+            total += out[0]
+        else:
+            cepstrum[: coef.size] += coef
+            memory, terms = memory + nat.d, max(terms, coef.size)
+    if not model.sv_wrapper:
+        total += _cosine_series(2.0 * cepstrum[:terms], grid.n_time, grid.n_freq)
+        if model.fractional == "arfima":
+            total -= memory * (trig_table(model, grid.omegas) if trig is None else trig)[-1]
     return total / len(draws)

@@ -44,7 +44,7 @@ class TimeSeries:
 
 
 class SeriesFileError(ValueError):
-    """A series file whose contents cannot be read as a series."""
+    """A series file that cannot be read as a series, or a constant series, which has no spectrum."""
 
 
 def _record(path, lineno: int, line: str, column: int) -> float | None:
@@ -109,8 +109,9 @@ def load_series(path: str | Path, column: int = 0) -> TimeSeries:
 
 
 def demean(series: TimeSeries) -> TimeSeries:
-    """Subtract the sample mean."""
-    return TimeSeries(series.values - series.values.mean(), demeaned=True)
+    """Subtract the sample mean; a constant series, whose rounded mean can miss its value, gives zeros."""
+    values = series.values
+    return TimeSeries(values - (values.mean() if np.ptp(values) else values[0]), demeaned=True)
 
 
 def log_square_transform(series: TimeSeries) -> TimeSeries:

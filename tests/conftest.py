@@ -146,6 +146,11 @@ def fd_gradient(fun, x) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def mean_log_spectrum(spec, draws, omegas) -> np.ndarray:
+    """Mean over the rows of ``draws`` of log ``spectral_density``, one row at a time: the posterior spectrum's oracle."""
+    return np.mean([np.log(sm.spectral_density(spec, sm.to_natural(spec, row), omegas)) for row in draws], axis=0)
+
+
 # Orders 0-4, every fractional kind, with and without the volatility wrapper.
 model_specs = st.builds(
     sm.ModelSpec,

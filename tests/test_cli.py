@@ -343,7 +343,7 @@ def test_fit_subsampled_chain(tmp_path):
 
 def refuse_mode_search_and_full_chain(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("ran before the group count was checked")
+        raise AssertionError("ran before the config and data were checked")
 
     monkeypatch.setattr(sm.sampler, "find_mode", refuse)
     monkeypatch.setattr(sm.sampler, "run_full_chain", refuse)
@@ -376,6 +376,34 @@ def test_compare_rejects_more_groups_than_frequencies(tmp_path, capsys, monkeypa
     assert err.startswith("error: config:")
     assert "group_count = 500" in err and "n_freq = 255" in err
     assert not (tmp_path / "groups_sub").exists()
+
+
+@pytest.mark.parametrize("value", ["3.0", "123.456"])
+def test_fit_refuses_a_constant_series(tmp_path, capsys, monkeypatch, value):
+    # a constant series has all-zero periodogram ordinates and no spectrum to
+    # fit; it is refused before the mode search, with nothing written.  The
+    # mean of 200 copies of 123.456 rounds off its value, which demean absorbs
+    refuse_mode_search_and_full_chain(monkeypatch)
+    path = tmp_path / "constant.txt"
+    path.write_text(f"{value}\n" * 200)
+    cfg = write_ini(
+        tmp_path / "constant.ini",
+        f"""
+        [data]
+        path = {path}
+
+        [model]
+        family = arma
+        ar_order = 1
+
+        [output]
+        directory = {tmp_path / "constant_out"}
+        """,
+    )
+    assert main(["fit", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and "constant" in err and err.count("\n") == 1
+    assert not (tmp_path / "constant_out").exists()
 
 
 def test_fit_writes_nothing_when_a_density_grid_fails(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,17 @@
 """Inefficiency factors, computing time, kernel densities, mean spectra."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
 from specmcmc import diagnostics
-from conftest import make_quadratic_stub
+from conftest import make_quadratic_stub, mean_log_spectrum, model_specs
 
 
 def test_if_near_one_for_independent_draws():
@@ -108,14 +114,15 @@ def test_posterior_mean_spectrum_averages_logs():
 @pytest.mark.parametrize(
     "model, a, b",
     [
-        (sm.ModelSpec(2, 1), [0.3, -0.2, 0.4, 0.1], [0.1, 0.2, -0.3, -0.1]),
-        (sm.ModelSpec(0, 0, fractional="artfima"), [0.3, -1.0, 0.2], [-0.2, 0.5, 0.1]),
+        (sm.ModelSpec(2, 1, sv_wrapper=True), [0.3, -0.2, 0.4, 0.1, -1.0], [0.1, 0.2, -0.3, -0.1, 0.5]),
+        (sm.ModelSpec(0, 0, fractional="artfima", sv_wrapper=True), [0.3, -1.0, 0.2, -1.0], [-0.2, 0.5, 0.1, 0.5]),
     ],
     ids=["arma", "artfima"],
 )
 def test_posterior_mean_spectrum_reuses_repeated_rows(monkeypatch, model, a, b):
-    # a row equal to the one before adds its log densities again: the bytes
-    # of evaluating every row, with one kernel call fewer per repeat
+    # a wrapped model's rows take the density kernel: a row equal to the one
+    # before adds its log densities again, the bytes of evaluating every row
+    # with one kernel call fewer per repeat
     grid = sm.FrequencyGrid(64)
     draws = np.array([a, a, b, a])
     expected = np.zeros(grid.n_freq)
@@ -125,3 +132,56 @@ def test_posterior_mean_spectrum_reuses_repeated_rows(monkeypatch, model, a, b):
     monkeypatch.setattr(diagnostics, "density_from_trig", lambda *args: calls.append(1) or kernel(*args))
     np.testing.assert_array_equal(sm.posterior_mean_spectrum(draws, model, grid), expected / 4)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n_time, terms", [(100_001, 60), (100_000, 60), (101, 101)])
+def test_cosine_series_matches_the_direct_sum(n_time, terms):
+    # the chirp's phases m^2 are reduced mod 2 n_time exactly, which keeps
+    # 1e-12 at n_time 1e5; the last case has more terms than frequencies
+    coef = np.random.default_rng(3).standard_normal(terms) / np.arange(1, terms + 1) ** 2
+    n_freq = (n_time - 1) // 2
+    j = np.arange(1, n_freq + 1)
+    direct = sum(c * np.cos(2.0 * np.pi * (j * k % n_time) / n_time) for k, c in enumerate(coef))
+    series = diagnostics._cosine_series(coef, n_time, n_freq)
+    np.testing.assert_allclose(series, direct, rtol=0, atol=1e-12)
+
+
+@st.composite
+def unwrapped_draws(draw):
+    """An unwrapped model and draws in [-2, 2], up to four distinct rows in any order, the last one repeated."""
+    spec = dataclasses.replace(draw(model_specs), sv_wrapper=False)
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 4)), spec.n_params), elements=st.floats(-2.0, 2.0)))
+    order = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    return spec, rows[order + order[-1:]]
+
+
+@pytest.mark.parametrize("n_time", [2001, 4096])
+@settings(deadline=None)
+@given(unwrapped_draws())
+def test_posterior_mean_spectrum_matches_the_per_row_density(n_time, case):
+    # the averaged cepstral series, and the kernel for rows whose series
+    # would exceed n_time terms, give the mean of log f row by row
+    spec, draws = case
+    grid = sm.FrequencyGrid(n_time)
+    expected = mean_log_spectrum(spec, draws, grid.omegas)
+    np.testing.assert_allclose(sm.posterior_mean_spectrum(draws, spec, grid), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, slow, fast",
+    [
+        (sm.ModelSpec(1, 1), [8.0, 0.3, 0.1], [0.5, 0.3, 0.1]),
+        (sm.ModelSpec(1, 0, fractional="artfima"), [0.5, 0.4, math.log(1e-6), 0.1], [0.5, 0.4, 0.0, 0.1]),
+    ],
+    ids=["pacf", "artfima"],
+)
+def test_posterior_mean_spectrum_falls_back_to_the_kernel(monkeypatch, model, slow, fast):
+    # a PACF of tanh(8), or lambda = 1e-6, needs more cepstral terms than
+    # n_time: that row takes the kernel, once, and the mean still matches
+    grid = sm.FrequencyGrid(4001)
+    draws = np.array([fast, slow, slow, fast])
+    expected = mean_log_spectrum(model, draws, grid.omegas)
+    kernel, calls = diagnostics.density_from_trig, []
+    monkeypatch.setattr(diagnostics, "density_from_trig", lambda *args: calls.append(1) or kernel(*args))
+    np.testing.assert_allclose(sm.posterior_mean_spectrum(draws, model, grid), expected, rtol=0, atol=1e-12)
+    assert len(calls) == 1
