@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import hashlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -313,6 +314,8 @@ def _summary_lines(config: ExperimentConfig, data, mode, output) -> list[str]:
     lines += [
         f"n_time={data.periodogram.grid.n_time}",
         f"n_freq={data.n_freq}",
+        # matches separate fits to their data: the periodogram's float64 bytes, in frequency order
+        f"periodogram_sha256={hashlib.sha256(data.periodogram.ordinates.tobytes()).hexdigest()}",
         f"parameters={','.join(output.param_names)}",
         f"iterations={config.iterations}",
         f"burn_in={config.burn_in}",

@@ -11,7 +11,7 @@ from scipy.signal import lfilter, unit_impulse
 
 from .models import LOG_TWO_PI, ModelSpec, NaturalParams, density_from_trig, to_natural, trig_table
 from .sampler import ChainOutput
-from .spectral import FrequencyGrid
+from .spectral import FrequencyGrid, _cosine_series
 
 
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
@@ -128,27 +128,6 @@ def _cepstrum(nat: NaturalParams, n_time: int, size: int) -> np.ndarray | None:
         if size == n_time:
             return None
         size *= 2
-
-
-def _cosine_series(coef: np.ndarray, n_time: int, n_freq: int) -> np.ndarray:
-    """sum_k coef_k cos(2 pi j k / n_time) at j = 1..n_freq, by one chirp convolution at a fast FFT length.
-
-    Bluestein: exp(-2 pi i j k / n) = conj(b_j b_k) b_{j-k} with b_m = exp(i pi m^2 / n), m^2 reduced
-    mod 2n in integers so the phases stay exact.  A zero-padded FFT of length n would do the same, but
-    for n with a large prime factor (100001 = 11 * 9091) it convolves internally at about 2n, in
-    buffers of that size.
-    """
-    size = coef.size
-    chirp = np.arange(1 - size, n_freq + 1)  # m, then b_m
-    chirp = (chirp * chirp % (2 * n_time)) * (1j * np.pi / n_time)
-    np.exp(chirp, out=chirp)
-    length = next_fast_len(2 * size + n_freq - 1)
-    spectrum = np.fft.fft(coef * chirp[size - 1 :: -1].conj(), length)  # b_{-k} = b_k
-    spectrum *= np.fft.fft(chirp, length)
-    series = np.fft.ifft(spectrum, out=spectrum)[size : size + n_freq]
-    np.conjugate(series, out=series)
-    series *= chirp[size:]
-    return series.real
 
 
 def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.ndarray:

@@ -144,6 +144,12 @@ class ModeResult:
         return np.linalg.inv(-self.hessian)
 
 
+# Largest condition number of -H accepted at a mode.  Fits on the benchmark series read 24 (ARMA)
+# to 580 (ARTFIMA); an all-zero periodogram, whose likelihood and prior cancel along the PACF
+# coordinate, reads 7.5e11, a curvature of 1e-12 that only rounding makes negative.
+_MAX_CONDITION = 1e10
+
+
 def find_mode(data, log_prior_fn, theta0) -> ModeResult:
     """Maximize the log posterior by trust-region Newton steps on its exact curvature.
 
@@ -155,7 +161,8 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
     derivative beyond 1e150, whose square overflows) has objective +inf, so
     the trust region shrinks away from it.  Exits only if |grad| < 1e-5 *
     (1 + |log posterior|); the curvature is the exact Hessian at the mode,
-    and one not negative definite is an error.
+    and one not negative definite, or whose condition number exceeds
+    ``_MAX_CONDITION``, is an error.
     """
     passes = {}
 
@@ -200,6 +207,13 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
         np.linalg.cholesky(-hessian)
     except np.linalg.LinAlgError as exc:
         raise ValueError("log-posterior curvature at the mode is not negative definite") from exc
+    condition = float(np.linalg.cond(-hessian))
+    if condition > _MAX_CONDITION:
+        raise ValueError(
+            f"log-posterior curvature at the mode is ill-conditioned: cond(-H) = {condition:.3g} > "
+            f"{_MAX_CONDITION:g}, so some direction is flat, as for degenerate data or parameters the data "
+            "do not identify"
+        )
     return ModeResult(theta=mode, hessian=hessian, log_posterior=float(value))
 
 

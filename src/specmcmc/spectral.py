@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .series import TimeSeries
 
@@ -65,3 +66,28 @@ def periodogram(series: TimeSeries) -> Periodogram:
     coeffs = np.fft.rfft(series.values)[1 : grid.n_freq + 1]
     ordinates = (coeffs.real**2 + coeffs.imag**2) / (2.0 * np.pi * series.n_time)
     return Periodogram(grid, ordinates)
+
+
+def _chirp(m: np.ndarray, n_time: int) -> np.ndarray:
+    """b_m = exp(i pi m^2 / n_time), with m^2 reduced mod 2 n_time in integers so the phases stay exact."""
+    m = (m * m % (2 * n_time)) * (1j * np.pi / n_time)
+    return np.exp(m, out=m)
+
+
+def _cosine_series(coef: np.ndarray, n_time: int, n_out: int, first: int = 1, offset: int = 0) -> np.ndarray:
+    """sum_k coef_k cos(2 pi j (offset + k) / n_time) at j = first..first + n_out - 1, by one chirp convolution.
+
+    Bluestein: exp(-2 pi i j k / n) = conj(b_j b_k) b_{j-k}, so the sum is conj(b_j) times a
+    convolution of coef_k conj(b_k) with the chirp, taken at a fast FFT length.  A zero-padded FFT
+    of length n would do the same, but for n with a large prime factor (100001 = 11 * 9091) it
+    convolves internally at about 2n, in buffers of that size.
+    """
+    size = coef.size
+    length = next_fast_len(2 * size + n_out - 1)
+    spectrum = np.fft.fft(coef * _chirp(np.arange(offset, offset + size), n_time).conj(), length)
+    # b_{j-k}, a temporary: held past this line it would add to the transient
+    spectrum *= np.fft.fft(_chirp(np.arange(first - offset - size, first - offset + n_out), n_time), length)
+    series = np.fft.ifft(spectrum, out=spectrum)[size : size + n_out]
+    np.conjugate(series, out=series)
+    series *= _chirp(np.arange(first, first + n_out), n_time)
+    return series.real

@@ -4,6 +4,7 @@ hypothesis strategies for model specifications and parameter vectors."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,11 @@ import specmcmc as sm
 from specmcmc.models import FRACTIONAL_KINDS
 
 # Every property draws the same examples on every run, so the suite is
-# deterministic; derandomized runs also keep no example database.
+# deterministic; derandomized runs also keep no example database.  CI sets
+# HYPOTHESIS_PROFILE=ci: derandomized too, with five times the examples.
 settings.register_profile("deterministic", derandomize=True)
-settings.load_profile("deterministic")
+settings.register_profile("ci", derandomize=True, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,19 @@ def test_criterion_05_subsampled_posterior_matches_full(arma21_fit):
     assert np.all((0.9 <= ratios) & (ratios <= 1.1))
 
 
+def test_full_chain_draws_as_with_the_summed_terms(arma21_fit, monkeypatch):
+    """The moment-form likelihood leaves the full chain's draws as the summed kernel terms give them."""
+    data, mode = arma21_fit["data"], arma21_fit["mode"]
+    prior = lambda v: sm.log_prior(arma21_fit["model"], v)
+    settings = sm.ChainSettings(iterations=2_000, burn_in=200, seed=101)
+    moment = sm.run_full_chain(data, prior, settings, mode)
+    monkeypatch.setattr(sm.sampler, "full_loglik", lambda data, theta: float(np.sum(data.terms(theta))))
+    kernel = sm.run_full_chain(data, prior, settings, mode)
+    np.testing.assert_array_equal(moment.draws, kernel.draws)
+    assert moment.acceptance_rate == kernel.acceptance_rate
+    np.testing.assert_allclose(moment.loglik_trace, kernel.loglik_trace, rtol=1e-13)
+
+
 def test_criterion_06_arma21_parameters_recovered(arma21_fit):
     """Posterior means of the natural parameters within 0.05 of the truth."""
     model, truth = arma21_fit["model"], arma21_fit["truth"]

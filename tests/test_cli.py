@@ -604,3 +604,41 @@ def test_fit_data_in_large_units(tmp_path, capsys):
         line.split("=", 1) for line in (tmp_path / "large_out" / "summary.txt").read_text().splitlines()
     )
     assert float(summary["posterior_mean_log_sigma2"]) == pytest.approx(100.0, abs=0.5)
+
+
+def test_summary_fingerprints_the_periodogram(tmp_path, capsys):
+    # periodogram_sha256 matches separate fits of one file, and one changed value changes it
+    values = sm.simulate_arma([0.4], [], 1.0, 301, seed=17).values.tolist()
+
+    def fingerprint(name, series):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(repr(v) + "\n" for v in series))
+        cfg = write_ini(
+            tmp_path / f"{name}.ini",
+            f"""
+            [data]
+            path = {path}
+
+            [model]
+            family = arma
+            ar_order = 1
+
+            [sampler]
+            iterations = 200
+            burn_in = 50
+
+            [output]
+            directory = {tmp_path / name}
+            """,
+        )
+        assert main(["fit", cfg]) == 0, capsys.readouterr().err
+        lines = (tmp_path / name / "summary.txt").read_text().splitlines()
+        summary = dict(line.split("=", 1) for line in lines)
+        digest = summary["periodogram_sha256"]
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        return digest
+
+    first = fingerprint("first", values)
+    assert fingerprint("again", values) == first
+    values[150] += 0.5
+    assert fingerprint("changed", values) != first

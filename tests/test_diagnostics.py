@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
-from specmcmc import diagnostics
+from specmcmc import diagnostics, spectral
 from conftest import make_quadratic_stub, mean_log_spectrum, model_specs
 
 
@@ -142,8 +142,18 @@ def test_cosine_series_matches_the_direct_sum(n_time, terms):
     n_freq = (n_time - 1) // 2
     j = np.arange(1, n_freq + 1)
     direct = sum(c * np.cos(2.0 * np.pi * (j * k % n_time) / n_time) for k, c in enumerate(coef))
-    series = diagnostics._cosine_series(coef, n_time, n_freq)
+    series = spectral._cosine_series(coef, n_time, n_freq)
     np.testing.assert_allclose(series, direct, rtol=0, atol=1e-12)
+
+
+def test_posterior_mean_spectrum_keeps_cepstra_to_their_tail_threshold():
+    # ARTFIMA with d = 1e-5 has C_k = d exp(-lambda k)/k, small and slow: the
+    # last half of |C_k| sums to between 1e-17 and 1e-9 at some K.  Stopping
+    # at 1e-9 leaves the spectrum 2.5e-13 off the per-row density; at 1e-17, 1.8e-15
+    model, grid = sm.ModelSpec(0, 0, fractional="artfima"), sm.FrequencyGrid(4001)
+    row = np.array([[1e-5, math.log(0.03), 0.0]])
+    expected = mean_log_spectrum(model, row, grid.omegas)
+    np.testing.assert_allclose(sm.posterior_mean_spectrum(row, model, grid), expected, rtol=0, atol=1e-14)
 
 
 @st.composite

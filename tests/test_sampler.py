@@ -220,6 +220,17 @@ def test_find_mode_rejects_flat_objective():
         sm.find_mode(flat, flat_prior, stub.center)
 
 
+def test_find_mode_refuses_an_ill_conditioned_mode():
+    # an all-zero periodogram: -sum log f and the flat-on-PACF prior cancel
+    # along the AR coordinate, whose curvature at the mode, about -1e-12, is
+    # negative only by rounding; Cholesky accepts it, the condition bound not
+    spec = sm.ModelSpec(1, 0)
+    zeros = sm.Periodogram(sm.FrequencyGrid(200), np.zeros(99))
+    data = sm.WhittleData(periodogram=zeros, model=spec)
+    with pytest.raises(ValueError, match=r"ill-conditioned: cond\(-H\) = .* > 1e\+10"):
+        sm.find_mode(data, lambda v: sm.log_prior_derivatives(spec, v), np.zeros(spec.n_params))
+
+
 def quad_mode(stub):
     theta = stub.total_mode()
     hessian = stub.hessians.sum(axis=0)
@@ -346,6 +357,22 @@ def test_pm_chain_eval_accounting(stub_and_groups):
     with_coreset = sm.run_pm_chain(stub, groups, coreset, lambda v: 0.0, settings, mode)
     per_iter = 3 * group_size + coreset.eval_cost
     assert with_coreset.density_evals == coreset.setup_evals + (1 + 40) * per_iter
+
+
+def test_only_the_full_chain_builds_the_moment_table(arma11_data):
+    # the mode search, the Taylor variate and the subsampled chain never
+    # build the periodogram's cosine moments; the full chain's first estimate
+    # does, and it is still charged n_freq evaluations per estimate
+    fixture, log_prior_fn, mode = arma11_data
+    data = sm.WhittleData(periodogram=fixture.periodogram, model=fixture.model)
+    sm.find_mode(data, lambda v: sm.log_prior_derivatives(data.model, v), mode.theta)
+    groups = sm.make_groups(data.n_freq, 20)
+    settings = sm.ChainSettings(iterations=30, burn_in=10, seed=1, m=3, n_blocks=1)
+    sm.run_pm_chain(data, groups, sm.build_taylor_cv(data, groups, mode.theta), log_prior_fn, settings, mode)
+    assert data._moments.size == 0
+    full = sm.run_full_chain(data, log_prior_fn, settings, mode)
+    assert data._moments.size > 0
+    assert full.density_evals == (1 + 40) * data.n_freq
 
 
 def test_chain_settings_validation():

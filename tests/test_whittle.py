@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specmcmc as sm
+from specmcmc import whittle
 from conftest import fd_gradient, make_quadratic_stub, specs_with_vectors
 
 
@@ -238,8 +239,8 @@ def test_loglik_derivatives_match_central_differences(case):
     data = sm.WhittleData(periodogram=SMALL_PERIODOGRAM, model=spec)
     assume(root_distance(sm.to_natural(spec, theta)) >= MIN_ROOT_DISTANCE)
     value, score, _ = data.loglik_derivatives(theta)
-    assert value == sm.full_loglik(data, theta)
     terms = data.terms(theta)
+    assert value == float(np.sum(terms))
     tol = SCORE_RTOL * float(np.sum(np.abs(terms)))
     np.testing.assert_allclose(score, central_score(data, theta), rtol=0, atol=tol)
     # per group, for the Taylor variate: 7 groups leave 2 frequencies over
@@ -395,7 +396,7 @@ def test_arfima_loglik_is_pinned_bit_for_bit(sv_wrapper):
     assert [float(terms[i]).hex() for i in (0, 1, 57, 399)] == terms_hex
     assert [float(x).hex() for x in data.terms(theta, np.array([3, 250]))] == subset_hex
     value, score, _ = data.loglik_derivatives(theta)
-    assert sm.full_loglik(data, theta).hex() == loglik_hex
+    assert float(np.sum(data.terms(theta))).hex() == loglik_hex
     assert float(value).hex() == loglik_hex
     assert [float(x).hex() for x in score] == score_hex
 
@@ -408,8 +409,100 @@ def test_arma_loglik_is_pinned_bit_for_bit():
     data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(2, 1))
     theta = np.array([0.4, -0.25, 0.35, 0.2])
     value, score, _ = data.loglik_derivatives(theta)
-    assert sm.full_loglik(data, theta).hex() == "0x1.4340ad705dfa0p+8"
+    assert float(np.sum(data.terms(theta))).hex() == "0x1.4340ad705dfa0p+8"
     assert float(value).hex() == "0x1.4340ad705dfa0p+8"
     assert [float(x).hex() for x in score] == [
         "0x1.85133ddecc3f5p+6", "-0x1.aea1d55af798fp+6", "0x1.f147d3c2ec451p+6", "0x1.f1d3239c71400p+1"
     ]
+
+
+# Odd and even n_time with n_freq = 4096, so that psi and 1/phi's impulse
+# response, with roots 0.05 from the unit circle, decay within n_freq lags
+MOMENT_PERIODOGRAMS = {
+    n_time: sm.periodogram(sm.demean(sm.simulate_arma([0.5], [0.3], 1.0, n_time, seed=4))) for n_time in (8193, 8194)
+}
+
+
+def unwrapped_low_order(case) -> bool:
+    spec, _ = case
+    return not spec.sv_wrapper and spec.fractional != "arfima" and max(spec.ar_order, spec.ma_order) <= 3
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0).filter(unwrapped_low_order), st.sampled_from(sorted(MOMENT_PERIODOGRAMS)))
+def test_moment_loglik_matches_the_summed_terms(case, n_time):
+    spec, theta = case
+    distance = root_distance(sm.to_natural(spec, theta))
+    assume(distance >= MIN_ROOT_DISTANCE)
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[n_time], model=spec)
+    terms = data.terms(theta)
+    value = sm.full_loglik(data, theta)
+    assert value == pytest.approx(float(np.sum(terms)), rel=1e-12, abs=1e-12 * float(np.sum(np.abs(terms))))
+    event("moment form" if data._moments.size else "fallback")
+    if distance >= 0.2:  # far from the unit circle the moment form applies, not the fallback
+        assert data._moments.size > 0
+    # psi's length and the table's chunks are fixed lattices: an instance whose
+    # search starts elsewhere, at L = 16 from theta = 0, gives the same bits
+    other = sm.WhittleData(periodogram=data.periodogram, model=spec)
+    sm.full_loglik(other, np.zeros(spec.n_params))
+    assert sm.full_loglik(other, theta) == value
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        (sm.ModelSpec(1, 0), [8.0, 0.1]),
+        (sm.ModelSpec(1, 0, fractional="artfima"), [0.3, 0.4, math.log(1e-6), 0.1]),
+        (sm.ModelSpec(1, 1, fractional="arfima"), [0.3, -0.2, 0.25, 0.1]),
+        (sm.ModelSpec(2, 1, sv_wrapper=True), [0.3, -0.2, 0.4, 0.1, -1.0]),
+    ],
+    ids=["pacf", "lambda", "arfima", "wrapped"],
+)
+def test_full_loglik_falls_back_to_the_summed_terms(spec, theta):
+    # 1/phi's impulse response at a PACF of tanh(8), and psi at lambda = 1e-6,
+    # outlast n_freq lags; ARFIMA and wrapped models have no such series
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=spec)
+    theta = np.array(theta)
+    assert sm.full_loglik(data, theta) == float(np.sum(data.terms(theta)))
+    assert data._moments.size == 0
+
+
+def test_full_loglik_falls_back_on_overflow():
+    # d = 800: psi is a polynomial of degree 800, so L = 1024 is found and
+    # the table built, but its autocorrelation overflows; the terms give -inf
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=sm.ModelSpec(0, 0, fractional="artfima"))
+    with np.errstate(over="ignore"):
+        assert sm.full_loglik(data, np.array([800.0, -3.0, 0.0])) == -np.inf
+    assert data._moments.size > 0
+
+
+def test_moment_table_matches_the_direct_sum(monkeypatch):
+    # blocks of 64 ordinates and chunks from 32 lags on, on a small series:
+    # every A_j within 1e-12 A_0 of the direct sum, and the same bits whatever
+    # the order in which the table grew
+    monkeypatch.setattr(whittle, "_BLOCK", 64)
+    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 32)
+    pgram = sm.periodogram(sm.demean(sm.simulate_arma([0.7], [], 1.0, 1001, seed=6)))
+    data = sm.WhittleData(periodogram=pgram, model=sm.ModelSpec(1, 0))
+    table = data.moments(pgram.grid.n_freq)
+    assert table.size == pgram.grid.n_freq
+    k = np.arange(1, pgram.grid.n_freq + 1)
+    direct = [pgram.ordinates @ np.cos(2.0 * np.pi * (j * k % 1001) / 1001) for j in range(table.size)]
+    np.testing.assert_allclose(table, direct, rtol=0, atol=1e-12 * table[0])
+    stepwise = sm.WhittleData(periodogram=pgram, model=sm.ModelSpec(1, 0))
+    for size in (1, 40, 200, pgram.grid.n_freq):
+        stepwise.moments(size)
+    np.testing.assert_array_equal(stepwise.moments(1), table)
+
+
+def test_moment_loglik_keeps_psi_to_its_tail_threshold():
+    # ARTFIMA with d = 1e-5 has psi_j of about d exp(-lambda j)/j, small and
+    # slow: |psi| sums to between 1e-17 and 1e-9 over lags L..2L-1 at some L,
+    # and data of an AR(1) at 0.999 weight the lags it drops.  Stopping at
+    # 1e-9 puts the value 8e-10 sum_k |l_k| off the terms; at 1e-17, 8e-16
+    ts = sm.demean(sm.simulate_arma([0.999], [], 1.0, 8193, seed=3))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=sm.ModelSpec(0, 0, fractional="artfima"))
+    theta = np.array([1e-5, math.log(0.06), 0.0])
+    terms = data.terms(theta)
+    assert abs(sm.full_loglik(data, theta) - float(np.sum(terms))) <= 1e-14 * float(np.sum(np.abs(terms)))
+    assert data._moments.size > 0
