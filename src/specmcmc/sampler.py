@@ -31,7 +31,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .models import ParameterRangeError, _float_sum
-from .whittle import GroupIndex, full_loglik
+from .whittle import GroupIndex, full_loglik, full_loglik_derivatives
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,9 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
 
     ``log_prior_fn(v)`` gives the log prior's value, gradient and Hessian
     diagonal (``models.log_prior_derivatives``), one data pass the
-    log-likelihood's (``data.loglik_derivatives``), and scipy's
+    log-likelihood's (``whittle.full_loglik_derivatives``: on an M-point
+    quadrature of the periodogram where it applies, else
+    ``data.loglik_derivatives``), and scipy's
     ``trust-exact`` (More & Sorensen 1983) steps on their sum.  A point
     outside the model's range (``ParameterRangeError``, or a value or
     derivative beyond 1e150, whose square overflows) has objective +inf, so
@@ -173,7 +175,7 @@ def find_mode(data, log_prior_fn, theta0) -> ModeResult:
             passes[key] = (math.inf, np.zeros_like(v), np.zeros((v.size, v.size)))
             try:
                 with np.errstate(all="ignore"):
-                    loglik = data.loglik_derivatives(v)
+                    loglik = full_loglik_derivatives(data, v)
                     prior = log_prior_fn(v)
             except ParameterRangeError:
                 return passes[key]

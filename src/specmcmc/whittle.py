@@ -9,7 +9,9 @@ the interface ``WhittleData`` exposes, beside the exact gradient and
 Hessian of the whole or grouped sum (``loglik_derivatives``); test doubles
 with the same two methods can stand in for it.  ``full_loglik`` sums the
 terms without forming them where it can, as Whittle's quadratic form in the
-periodogram's cosine moments (``WhittleData.moment_loglik``).
+periodogram's cosine moments (``WhittleData.moment_loglik``), and
+``full_loglik_derivatives`` runs the derivative pass on a small grid whose
+weighted sums equal the frequency sums (``WhittleData._quadrature``).
 
 Frequencies are grouped by stride.  ``GroupIndex`` is the pair (n_freq,
 n_groups) and the one place that knows the layout: the members of picked
@@ -57,6 +59,7 @@ class WhittleData:
         object.__setattr__(self, "_trig", trig)
         object.__setattr__(self, "_moments", np.zeros(0))  # built on the first moment-form call
         object.__setattr__(self, "_lags", _MIN_LAGS)  # where the next call's search for L starts
+        object.__setattr__(self, "_grids", {})  # the quadrature's grids, by M
 
     @property
     def n_freq(self) -> int:
@@ -84,7 +87,7 @@ class WhittleData:
     def loglik_derivatives(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood with its exact gradient and Hessian in theta, from one pass.
 
-        Without ``groups`` the value equals ``full_loglik`` bit for bit, and
+        Without ``groups`` the value equals ``float(np.sum(terms(theta)))`` bit for bit, and
         ``models.log_density_derivatives`` gives the gradient and Hessian.
         With a ``GroupIndex`` all three are per group: (n_groups,), equal bit
         for bit to ``groups.sums(terms(theta))``, (n_groups, dim) and
@@ -96,17 +99,7 @@ class WhittleData:
             total = groups.sums  # dot goes row by row, so no (rows, n_freq) product is formed
             dot = lambda a, b: np.array([groups.sums(row * b) for row in a]) if a.ndim > 1 else groups.sums(a * b)
         nat = to_natural(self.model, theta)
-        buf = np.empty((7, self.n_freq))  # the kernel's rows, then the derivatives' scratch
-        rows = np.empty((self.model.n_params, self.n_freq))
-        ordinates = self.periodogram.ordinates
-        log_temper, dens = density_from_trig(self.model, nat, self._trig, buf[:2], buf[2:4], ordinates)
-        terms, weights = buf[:2]
-        value = total(terms)
-        weights -= 1.0
-        score, hessian = log_density_derivatives(
-            self.model, theta, nat, self._trig, weights, dens, log_temper, (terms, *buf[4:]), rows, total, dot
-        )
-        return value, score, hessian
+        return _derivatives(self.model, theta, nat, self._trig, self.periodogram.ordinates, total, dot)
 
     def moments(self, size: int) -> np.ndarray:
         """Periodogram cosine moments A_j = sum_k I_k cos(j omega_k), j = 0, 1, ... (at least ``size``).
@@ -129,6 +122,70 @@ class WhittleData:
             object.__setattr__(self, "_moments", table)
         return table
 
+    def _psi(self, nat) -> np.ndarray | None:
+        """psi's first L coefficients (``moment_loglik``), or None where L would pass n_freq."""
+        ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
+        size = self._lags
+        while size <= self.n_freq:
+            impulse = unit_impulse(2 * size)
+            binomial = impulse
+            if nat.lambda_ is not None:
+                j = np.arange(1.0, 2 * size)
+                binomial = np.cumprod(np.concatenate(([1.0], (j - 1.0 - nat.d) * (math.exp(-nat.lambda_) / j))))
+            # each prefix is the same whatever the length; lfilter takes a slow path for an FIR filter
+            psi = lfilter(ar, ma, binomial) if ma.size > 1 else np.convolve(binomial, ar)[: 2 * size]
+            tail = np.abs(psi)
+            if nat.phi.size:
+                tail += np.abs(lfilter([1.0], ar, impulse))
+            windows = np.add.reduceat(tail, _MIN_LAGS << np.arange((size // _MIN_LAGS).bit_length()))
+            below = np.flatnonzero(windows < _TAIL)
+            if below.size:
+                lags = _MIN_LAGS << int(below[0])
+                object.__setattr__(self, "_lags", lags)
+                return psi[:lags]
+            size *= 2
+        return None
+
+    def _quadrature(self, nat):
+        """Trig rows, pseudo-ordinates and weights of an M-point grid, whose sums equal those over the frequencies.
+
+        Every frequency sum of a derivative pass is sum_k I_k a(omega_k) or sum_k b(omega_k), with
+        a and b even, periodic and as smooth as psi.  On nu_m = 2 pi m / M, M = 4L, with K =
+        irfft(A_0..A_{M/2-1}, M) and E_m = n_time/(2M) (less 1/2 at m = 0, and at m = M/2 for even
+        n_time), sum_k cos(l omega_k) = sum_m E_m cos(l nu_m) for |l| < M, and sum_k I_k cos(l
+        omega_k) = sum_m K_m cos(l nu_m) for |l| < M/2.  So the sums are sum_m E_m I~_m a(nu_m) and
+        sum_m E_m b(nu_m), with pseudo-ordinates I~ = K/E, up to rounding and the coefficients
+        beyond the psi tail.  nu_{M-m} repeats nu_m, so the grid keeps m = 0..M/2 and the interior
+        weights 2 E_m.  Cached per M.  None where ``moment_loglik`` does not apply, where M would
+        reach n_freq and the grid save nothing, and where M/2 would pass the table's first chunk:
+        a further chunk costs several passes over all frequencies, and a mode search meets it
+        mostly at a trial point on its way.
+        """
+        if self.model.sv_wrapper or self.model.fractional == "arfima":
+            return None
+        psi = self._psi(nat)
+        if psi is None:
+            return None
+        size = 4 * psi.size
+        if nat.lambda_ is not None:
+            # the rows of d and log lambda carry log T and 1/T, whose coefficients, rho^j, sum
+            # to rho^L / (1 - rho) from lag L on; psi's decay faster near d = 0
+            while size < self.n_freq and math.exp(-nat.lambda_ * size / 4) >= _TAIL * -math.expm1(-nat.lambda_):
+                size *= 2
+        if size >= self.n_freq or size // 2 > _FIRST_MOMENTS:
+            return None
+        if size not in self._grids:
+            n_time, half = self.periodogram.grid.n_time, size // 2
+            spread = np.full(half + 1, n_time / (2.0 * size))
+            spread[0] -= 0.5
+            spread[half] -= 0.5 * (n_time % 2 == 0)
+            kernel = np.fft.irfft(self.moments(half)[:half], size)[: half + 1]
+            weights = 2.0 * spread
+            weights[[0, half]] = spread[[0, half]]
+            trig = trig_table(self.model, 2.0 * np.pi * np.arange(half + 1) / size)
+            self._grids[size] = (trig, kernel / spread, weights)
+        return self._grids[size]
+
     @np.errstate(all="ignore")  # an overflow gives a non-finite value, and so the fallback
     def moment_loglik(self, theta) -> float | None:
         """The Whittle log-likelihood in O(L) from the cosine moments, or None where that form does not apply.
@@ -148,29 +205,10 @@ class WhittleData:
         if spec.sv_wrapper or spec.fractional == "arfima":
             return None
         nat = to_natural(spec, theta)
-        ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
-        size = self._lags
-        while size <= n_freq:
-            impulse = unit_impulse(2 * size)
-            binomial = impulse
-            if nat.lambda_ is not None:
-                j = np.arange(1.0, 2 * size)
-                binomial = np.cumprod(np.concatenate(([1.0], (j - 1.0 - nat.d) * (math.exp(-nat.lambda_) / j))))
-            # each prefix is the same whatever the length; lfilter takes a slow path for an FIR filter
-            psi = lfilter(ar, ma, binomial) if ma.size > 1 else np.convolve(binomial, ar)[: 2 * size]
-            tail = np.abs(psi)
-            if nat.phi.size:
-                tail += np.abs(lfilter([1.0], ar, impulse))
-            windows = np.add.reduceat(tail, _MIN_LAGS << np.arange((size // _MIN_LAGS).bit_length()))
-            below = np.flatnonzero(windows < _TAIL)
-            if below.size:
-                break
-            size *= 2
-        else:
+        psi = self._psi(nat)
+        if psi is None:
             return None
-        lags = _MIN_LAGS << int(below[0])
-        object.__setattr__(self, "_lags", lags)
-        psi = psi[:lags]
+        lags = psi.size
         if lags <= _SHORT_CORRELATE:
             acov = np.correlate(psi, psi, "full")[lags - 1 :]
         else:
@@ -180,7 +218,7 @@ class WhittleData:
         acov[1:] *= 2.0
         ratio = float(acov @ self.moments(lags)[:lags]) / (nat.sigma2 / (2.0 * math.pi))
         log_sum = n_freq * (math.log(nat.sigma2) - LOG_TWO_PI)
-        polys = ma.tolist(), ar.tolist()
+        polys = [1.0, *nat.theta.tolist()], [1.0, *(-nat.phi).tolist()]
         for z in (1.0, -1.0)[: 2 - n_time % 2]:
             top, bottom = (sum(c * z**k for k, c in enumerate(poly)) for poly in polys)
             log_sum -= math.log(abs(top / bottom))
@@ -248,6 +286,40 @@ def full_loglik(data, theta) -> float:
     """
     value = data.moment_loglik(theta) if isinstance(data, WhittleData) else None
     return float(np.sum(data.terms(theta))) if value is None else value
+
+
+def full_loglik_derivatives(data, theta):
+    """``loglik_derivatives(theta)``, on ``WhittleData._quadrature``'s grid where it applies.
+
+    The one pass runs on the grid's pseudo-ordinates, with frequency sums weighted by E.  It
+    falls back to ``data.loglik_derivatives(theta)`` where the grid does not apply, for a
+    non-finite result and for any other object with that method.
+    """
+    if isinstance(data, WhittleData):
+        nat = to_natural(data.model, theta)
+        with np.errstate(all="ignore"):  # a non-finite result gives the fallback
+            grid = data._quadrature(nat)
+            if grid is not None:
+                trig, ordinates, weights = grid
+                sums = lambda x: x @ weights, lambda a, b: a @ (b * weights)
+                parts = _derivatives(data.model, theta, nat, trig, ordinates, *sums)
+                if all(np.all(np.isfinite(part)) for part in parts):
+                    return parts
+    return data.loglik_derivatives(theta)
+
+
+def _derivatives(spec, theta, nat, trig, ordinates, total, dot):
+    """Whittle value, gradient and Hessian over the columns of a trig table, sums through ``total`` and ``dot``."""
+    buf = np.empty((7, trig.shape[1]))  # the kernel's rows, then the derivatives' scratch
+    rows = np.empty((spec.n_params, trig.shape[1]))
+    log_temper, dens = density_from_trig(spec, nat, trig, buf[:2], buf[2:4], ordinates)
+    terms, weights = buf[:2]
+    value = total(terms)
+    weights -= 1.0
+    score, hessian = log_density_derivatives(
+        spec, theta, nat, trig, weights, dens, log_temper, (terms, *buf[4:]), rows, total, dot
+    )
+    return value, score, hessian
 
 
 def grad_hess(data, g: GroupIndex, theta_star):

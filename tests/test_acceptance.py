@@ -66,7 +66,7 @@ def tempered_fit():
         sm.ChainSettings(iterations=3_000, burn_in=1_000, seed=12, m=m, n_blocks=10),
         mode,
     )
-    return dict(full=full, pm=pm)
+    return dict(data=data, mode=mode, full=full, pm=pm)
 
 
 def test_criterion_01_periodogram_matches_direct_dft():
@@ -168,6 +168,18 @@ def test_full_chain_draws_as_with_the_summed_terms(arma21_fit, monkeypatch):
     np.testing.assert_array_equal(moment.draws, kernel.draws)
     assert moment.acceptance_rate == kernel.acceptance_rate
     np.testing.assert_allclose(moment.loglik_trace, kernel.loglik_trace, rtol=1e-13)
+
+
+@pytest.mark.parametrize("fit", ["arma21_fit", "tempered_fit"])
+def test_mode_search_agrees_with_the_per_frequency_pass(fit, request, monkeypatch):
+    """The mode found on the quadrature lies within 1e-9 Laplace SD of the per-frequency search's,
+    and its Hessian within 1e-12 of the largest entry."""
+    data, mode = (request.getfixturevalue(fit)[key] for key in ("data", "mode"))
+    monkeypatch.setattr(sm.sampler, "full_loglik_derivatives", lambda data, theta: data.loglik_derivatives(theta))
+    exact = sm.find_mode(data, lambda v: sm.log_prior_derivatives(data.model, v), np.zeros(data.model.n_params))
+    shift = np.linalg.cholesky(-exact.hessian).T @ (mode.theta - exact.theta)
+    assert np.linalg.norm(shift) < 1e-9
+    assert np.max(np.abs(mode.hessian - exact.hessian)) <= 1e-12 * np.max(np.abs(exact.hessian))
 
 
 def test_criterion_06_arma21_parameters_recovered(arma21_fit):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmcmc as sm
-from specmcmc import sampler
+from specmcmc import sampler, whittle
 from conftest import flat_prior, make_quadratic_stub
 
 
@@ -359,19 +359,21 @@ def test_pm_chain_eval_accounting(stub_and_groups):
     assert with_coreset.density_evals == coreset.setup_evals + (1 + 40) * per_iter
 
 
-def test_only_the_full_chain_builds_the_moment_table(arma11_data):
-    # the mode search, the Taylor variate and the subsampled chain never
-    # build the periodogram's cosine moments; the full chain's first estimate
-    # does, and it is still charged n_freq evaluations per estimate
+def test_the_mode_search_builds_only_the_first_moment_chunk(arma11_data, monkeypatch):
+    # the mode search's quadrature reads the periodogram's cosine moments up to
+    # M/2 = 2L, inside the table's first chunk (shortened here, as n_freq is
+    # 2000); the Taylor variate and the subsampled chain never grow the table,
+    # and the full chain is still charged n_freq evaluations per estimate
+    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 256)
     fixture, log_prior_fn, mode = arma11_data
     data = sm.WhittleData(periodogram=fixture.periodogram, model=fixture.model)
     sm.find_mode(data, lambda v: sm.log_prior_derivatives(data.model, v), mode.theta)
+    assert data._grids and data._moments.size == 256
     groups = sm.make_groups(data.n_freq, 20)
     settings = sm.ChainSettings(iterations=30, burn_in=10, seed=1, m=3, n_blocks=1)
     sm.run_pm_chain(data, groups, sm.build_taylor_cv(data, groups, mode.theta), log_prior_fn, settings, mode)
-    assert data._moments.size == 0
+    assert data._moments.size == 256
     full = sm.run_full_chain(data, log_prior_fn, settings, mode)
-    assert data._moments.size > 0
     assert full.density_evals == (1 + 40) * data.n_freq
 
 

@@ -86,3 +86,12 @@ def test_periodogram_invariants():
         pgram = sm.periodogram(ts)
         assert pgram.ordinates.size == (n - 1) // 2
         assert np.all(pgram.ordinates >= 0)
+
+
+def test_periodogram_has_numpys_bits_at_a_prime_length():
+    # scipy.fft.rfft computes the ordinates; at a prime length it takes
+    # Bluestein's path, where numpy's pocketfft and scipy's could differ
+    ts = sm.demean(sm.TimeSeries(np.random.default_rng(10007).normal(size=10007)))
+    coeffs = np.fft.rfft(ts.values)[1:5004]
+    expected = (coeffs.real**2 + coeffs.imag**2) / (2.0 * np.pi * 10007)
+    np.testing.assert_array_equal(sm.periodogram(ts).ordinates, expected)

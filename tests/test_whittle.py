@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -506,3 +506,72 @@ def test_moment_loglik_keeps_psi_to_its_tail_threshold():
     terms = data.terms(theta)
     assert abs(sm.full_loglik(data, theta) - float(np.sum(terms))) <= 1e-14 * float(np.sum(np.abs(terms)))
     assert data._moments.size > 0
+
+
+def per_frequency_scales(data, theta):
+    """sum_k |value_k|, sum_k |grad_k| and sum_k |hess_k| over the frequencies, elementwise."""
+    parts = data.loglik_derivatives(theta, sm.make_groups(data.n_freq, data.n_freq))
+    return [np.sum(np.abs(part), axis=0) for part in parts]
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0).filter(unwrapped_low_order), st.sampled_from(sorted(MOMENT_PERIODOGRAMS)))
+# at d = 0 psi is 1/theta(z), L = 16, while the d and log lambda rows decay as e^(-j/e)
+@example(case=(sm.ModelSpec(0, 1, fractional="artfima"), np.array([0.0, 0.0, -1.0, 0.0])), n_time=8193)
+def test_quadrature_matches_the_per_frequency_pass(case, n_time):
+    spec, theta = case
+    distance = root_distance(sm.to_natural(spec, theta))
+    assume(distance >= MIN_ROOT_DISTANCE)
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[n_time], model=spec)
+    quadrature = whittle.full_loglik_derivatives(data, theta)
+    event("quadrature" if data._grids else "fallback")
+    if distance >= 0.2:  # far from the unit circle the grid applies, not the fallback
+        assert data._grids
+    exact = data.loglik_derivatives(theta)
+    for got, want, scale in zip(quadrature, exact, per_frequency_scales(data, theta)):
+        # entries of size d near d = 5e-324 are subnormal, with few digits of their own
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+@pytest.mark.parametrize(
+    "spec, theta, grid",
+    [
+        (sm.ModelSpec(1, 0), [8.0, 0.1], False),
+        (sm.ModelSpec(1, 1, fractional="arfima"), [0.3, -0.2, 0.25, 0.1], False),
+        (sm.ModelSpec(2, 1, sv_wrapper=True), [0.3, -0.2, 0.4, 0.1, -1.0], False),
+        (sm.ModelSpec(0, 0, fractional="artfima"), [300.0, 0.0, -700.0], True),
+    ],
+    ids=["pacf", "arfima", "wrapped", "overflow"],
+)
+def test_quadrature_falls_back_to_the_per_frequency_pass(spec, theta, grid):
+    # at a PACF of tanh(8) 1/phi's impulse response needs M >= n_freq; ARFIMA
+    # and wrapped models have no grid; at d = 300 and sigma2 = e^-700 the
+    # grid applies, with M = 1024, but its pass overflows
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=spec)
+    theta = np.array(theta)
+    with np.errstate(all="ignore"):
+        got, want = whittle.full_loglik_derivatives(data, theta), data.loglik_derivatives(theta)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    assert bool(data._grids) == grid
+
+
+def test_quadrature_raises_outside_the_parameter_range():
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8194], model=sm.ModelSpec(1, 1))
+    with pytest.raises(sm.ParameterRangeError):
+        whittle.full_loglik_derivatives(data, np.array([0.1, 0.2, 800.0]))
+
+
+def test_quadrature_reads_only_the_first_moment_chunk(monkeypatch):
+    # a grid whose M/2 passes the table's first chunk would build the next
+    # chunk, which costs several passes: the per-frequency pass runs instead.  The first
+    # chunk has 64 lags, but here L = 64 and M/2 = 128
+    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 64)
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=sm.ModelSpec(1, 1))
+    theta = np.array([0.3, 0.2, 0.0])
+    for got, want in zip(whittle.full_loglik_derivatives(data, theta), data.loglik_derivatives(theta)):
+        np.testing.assert_array_equal(got, want)
+    assert not data._grids and data._moments.size == 0
+    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 128)
+    whittle.full_loglik_derivatives(data, theta)
+    assert sorted(data._grids) == [256] and data._moments.size == 128
