@@ -1,6 +1,7 @@
 """Config parsing, the four subcommands, and reproducible artifacts."""
 
 import csv
+import hashlib
 import math
 import dataclasses
 import re
@@ -339,6 +340,28 @@ def test_fit_subsampled_chain(tmp_path):
     assert summary["group_count"] == "16"
     _, rows = read_csv(tmp_path / "sub_out" / "draws.csv")
     assert len(rows) == 400
+
+
+CORESET_EXTRA = """cv = coreset
+        group_count = 16
+        m_percent = 25
+        coreset_size = 5
+        projections = 20"""
+
+
+def test_coreset_fit_bytes_are_pinned(tmp_path):
+    # the coreset variate's layout and arithmetic leave every draw and the
+    # posterior spectrum unchanged, bit for bit
+    cfg = fit_config(tmp_path, "coreset_pin", method="subsample", extra=CORESET_EXTRA)
+    assert main(["fit", cfg]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "coreset_pin" / name).read_bytes()).hexdigest()
+        for name in ("draws.csv", "spectrum.csv")
+    }
+    assert digests == {
+        "draws.csv": "4bcecaa769f4e8cd76b010b5709a270bcb3b7d677e2c4b8143d7294eae60cff5",
+        "spectrum.csv": "647edc0e1904e553973acd107bdb3fd46033893a9558d66689421403400cbc0d",
+    }
 
 
 def refuse_mode_search_and_full_chain(monkeypatch):
