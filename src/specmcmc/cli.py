@@ -311,6 +311,8 @@ def _summary_lines(config: ExperimentConfig, data, mode, output) -> list[str]:
             f"group_count={config.group_count}",
             f"m={config.subsample_m}",
         ]
+        if config.cv == "coreset":
+            lines += [f"coreset_size={config.coreset_size}", f"projections={config.projections}"]
     lines += [
         f"n_time={data.periodogram.grid.n_time}",
         f"n_freq={data.n_freq}",

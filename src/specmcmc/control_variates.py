@@ -281,51 +281,50 @@ def giga(vectors: np.ndarray, target: np.ndarray, m_iter: int) -> GigaResult:
 class CoresetCV:
     """Sparse reweighted frequencies approximating each group total.
 
-    ``freq_indices[k]`` and ``weights[k]`` hold the retained frequencies of
-    group k (global indices) and their non-negative weights; ``constants[k]``
-    carries the exact additive part: centering constants of all group members
-    minus the weighted centering constants of the retained ones, so the
-    surrogate matches the group log-likelihood in level, not just in shape.
+    Group k retains the frequencies ``indices[offsets[k]:offsets[k + 1]]``
+    (global indices) with the non-negative weights of the same slice of
+    ``weights``; ``constants[k]`` carries the exact additive part: centering
+    constants of all group members minus the weighted centering constants of
+    the retained ones, so the surrogate matches the group log-likelihood in
+    level, not just in shape.
     """
 
-    freq_indices: tuple
-    weights: tuple
+    indices: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray  # (n_groups + 1,)
     constants: np.ndarray
     max_nonzeros: int
     setup_evals: int
 
     def __post_init__(self) -> None:
-        if not len(self.freq_indices) == len(self.weights) == self.constants.size:
-            raise ValueError("per-group arrays must have equal length")
-        for idx, w in zip(self.freq_indices, self.weights):
-            if idx.size != w.size or idx.size > self.max_nonzeros:
-                raise ValueError("per-group weight count exceeds the iteration budget")
-            if np.any(w < 0):
-                raise ValueError("coreset weights must be non-negative")
-        object.__setattr__(self, "_all_idx", np.concatenate(self.freq_indices))
-        object.__setattr__(self, "_all_w", np.concatenate(self.weights))
+        sizes = np.diff(self.offsets)
+        if self.offsets.size != self.constants.size + 1 or self.offsets[0] != 0 or np.any(sizes < 0):
+            raise ValueError("offsets must start at 0 and not decrease, one group per constant")
+        if not self.offsets[-1] == self.indices.size == self.weights.size:
+            raise ValueError("the last offset must equal the number of indices and of weights")
+        if np.any(sizes > self.max_nonzeros):
+            raise ValueError("per-group weight count exceeds the iteration budget")
+        if np.any(self.weights < 0):
+            raise ValueError("coreset weights must be non-negative")
 
     @property
     def eval_cost(self) -> int:
         # Evaluating the sum over groups touches every retained frequency.
-        return int(self._all_idx.size)
+        return int(self.indices.size)
 
     def group_values(self, data, theta, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.intp)
-        out = np.empty(u.size)
-        for slot, k in enumerate(u):
-            idx = self.freq_indices[k]
-            if idx.size:
-                out[slot] = self.weights[k] @ data.terms(theta, idx) + self.constants[k]
-            else:
-                out[slot] = self.constants[k]
+        bounds = list(zip(self.offsets[u].tolist(), self.offsets[u + 1].tolist()))
+        terms = data.terms(theta, np.concatenate([self.indices[a:b] for a, b in bounds]))
+        out, pos = self.constants[u], 0  # indexing by an array copies
+        for slot, (a, b) in enumerate(bounds):
+            # a dot per group adds in the order it would over that group's own terms
+            out[slot] += self.weights[a:b] @ terms[pos : pos + b - a]
+            pos += b - a
         return out
 
     def total(self, data, theta) -> float:
-        total = float(self.constants.sum())
-        if self._all_idx.size:
-            total += float(self._all_w @ data.terms(theta, self._all_idx))
-        return total
+        return float(self.constants.sum()) + float(self.weights @ data.terms(theta, self.indices))
 
 
 def build_coreset_cv(
@@ -346,27 +345,24 @@ def build_coreset_cv(
     the greedy optimization.
     """
     children = np.random.SeedSequence(seed).spawn(g.n_groups)
-    freq_indices, weights, constants = [], [], []
+    indices, weights, offsets, constants = [], [], [0], []
     for k, members in enumerate(g.groups):
         proj = project_group(data, members, wd, n_projections, children[k])
-        norms = np.linalg.norm(proj.vectors, axis=1)
-        live = norms > 0.0
+        live = np.linalg.norm(proj.vectors, axis=1) > 0.0
         const = float(proj.means.sum())
         if np.any(live) and np.linalg.norm(proj.target) > 0.0:
             result = giga(proj.vectors[live], proj.target, m_iter)
             nonzero = result.weights > 0.0
-            kept_local = np.flatnonzero(live)[nonzero]
-            kept_w = result.weights[nonzero]
-            freq_indices.append(np.asarray(members, dtype=np.intp)[kept_local])
-            weights.append(kept_w)
-            const -= float(kept_w @ proj.means[kept_local])
-        else:
-            freq_indices.append(np.empty(0, dtype=np.intp))
-            weights.append(np.empty(0))
+            kept, kept_w = np.flatnonzero(live)[nonzero], result.weights[nonzero]
+            indices += members[kept].tolist()
+            weights += kept_w.tolist()
+            const -= float(kept_w @ proj.means[kept])
+        offsets.append(len(indices))
         constants.append(const)
     return CoresetCV(
-        freq_indices=tuple(freq_indices),
-        weights=tuple(weights),
+        indices=np.asarray(indices, dtype=np.intp),
+        weights=np.asarray(weights, dtype=float),
+        offsets=np.asarray(offsets, dtype=np.intp),
         constants=np.asarray(constants),
         max_nonzeros=m_iter,
         setup_evals=m_iter * g.n_freq,

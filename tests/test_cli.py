@@ -364,6 +364,17 @@ def test_coreset_fit_bytes_are_pinned(tmp_path):
     }
 
 
+def test_coreset_summary_records_its_budget(tmp_path):
+    # two coreset fits with different budgets write summaries that tell them apart
+    cfg = fit_config(tmp_path, "coreset_sum", method="subsample", extra=CORESET_EXTRA)
+    assert main(["fit", cfg]) == 0
+    lines = (tmp_path / "coreset_sum" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split("=", 1) for line in lines)
+    assert summary["cv"] == "coreset"
+    assert (summary["coreset_size"], summary["projections"]) == ("5", "20")
+    assert lines.index("coreset_size=5") == lines.index("m=4") + 1
+
+
 def refuse_mode_search_and_full_chain(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the config and data were checked")

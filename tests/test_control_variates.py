@@ -1,12 +1,19 @@
 """Grouping, Taylor and coreset control variates, and geodesic ascent."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import specmcmc as sm
 from conftest import QuadraticTerms, make_quadratic_stub
+
+
+def group_slice(cv, k) -> slice:
+    """Where group k of a coreset variate sits in its flat indices and weights."""
+    return slice(cv.offsets[k], cv.offsets[k + 1])
 
 
 def test_make_groups_strides():
@@ -208,19 +215,20 @@ def test_build_coreset_respects_budget_and_seed():
     cv = sm.build_coreset_cv(stub, groups, wd, m_iter=4, n_projections=50, seed=12)
     again = sm.build_coreset_cv(stub, groups, wd, m_iter=4, n_projections=50, seed=12)
     for k in range(6):
-        assert cv.weights[k].size <= 4
-        assert np.all(cv.weights[k] >= 0)
-        assert np.all(np.isin(cv.freq_indices[k], groups.groups[k]))
-        np.testing.assert_array_equal(cv.weights[k], again.weights[k])
-        np.testing.assert_array_equal(cv.freq_indices[k], again.freq_indices[k])
+        part, part_again = group_slice(cv, k), group_slice(again, k)
+        assert cv.weights[part].size <= 4
+        assert np.all(cv.weights[part] >= 0)
+        assert np.all(np.isin(cv.indices[part], groups.groups[k]))
+        np.testing.assert_array_equal(cv.weights[part], again.weights[part_again])
+        np.testing.assert_array_equal(cv.indices[part], again.indices[part_again])
     assert cv.setup_evals == 4 * 60
 
 
-def test_coreset_constant_atoms_become_constants():
-    # Terms with zero gradient and Hessian are constant under any weighting
-    # draw: they must be folded into the additive constant, never selected.
-    # Group 0 of the strided partition consists entirely of such terms here,
-    # so its surrogate is the exact constant with no retained frequencies.
+def constant_atoms_coreset():
+    """A quadratic stub whose terms 0, 4, 8 are constant, and its coreset over 4 strided groups.
+
+    Group 0 holds exactly the constant terms, so it retains no frequency.
+    """
     rng = np.random.default_rng(14)
     stub = make_quadratic_stub(rng, n_terms=12, dim=2)
     grads = stub.grads.copy()
@@ -233,12 +241,21 @@ def test_coreset_constant_atoms_become_constants():
     groups = sm.make_groups(12, 4)
     wd = sm.WeightingDistribution(stub.center, 0.05 * np.eye(2))
     cv = sm.build_coreset_cv(flat, groups, wd, m_iter=3, n_projections=40, seed=5)
-    assert cv.freq_indices[0].size == 0
+    return stub, flat, groups, cv
+
+
+def test_coreset_constant_atoms_become_constants():
+    # Terms with zero gradient and Hessian are constant under any weighting
+    # draw: they must be folded into the additive constant, never selected.
+    # Group 0 of the strided partition consists entirely of such terms here,
+    # so its surrogate is the exact constant with no retained frequencies.
+    stub, flat, groups, cv = constant_atoms_coreset()
+    assert cv.indices[group_slice(cv, 0)].size == 0
     theta = stub.center + 0.3
     exact_flat_group = np.sum(flat.terms(theta, groups.groups[0]))
     assert cv.group_values(flat, theta, [0])[0] == pytest.approx(exact_flat_group, rel=1e-12)
     for k in range(1, 4):
-        assert not np.any(cv.freq_indices[k] % 4 == 0)
+        assert not np.any(cv.indices[group_slice(cv, k)] % 4 == 0)
 
 
 def test_coreset_total_is_sum_of_groups():
@@ -250,7 +267,80 @@ def test_coreset_total_is_sum_of_groups():
     theta = stub.center + 0.1
     total = sum(cv.group_values(stub, theta, [k])[0] for k in range(8))
     assert cv.total(stub, theta) == pytest.approx(total, rel=1e-10)
-    assert cv.eval_cost == sum(w.size for w in cv.weights)
+    assert cv.eval_cost == sum(cv.weights[group_slice(cv, k)].size for k in range(8))
+
+
+@pytest.fixture(scope="module")
+def coreset_cases(arma11_data):
+    """(data, variate, centre) on the ARMA(1,1) data and on the constant-atoms stub."""
+    data, _, mode = arma11_data
+    wd = sm.laplace_weighting(mode.theta, mode.hessian)
+    arma = sm.build_coreset_cv(data, sm.make_groups(data.n_freq, 20), wd, 6, 40, seed=4)
+    stub, flat, _, atoms = constant_atoms_coreset()
+    return {"arma11": (data, arma, mode.theta), "constant atoms": (flat, atoms, stub.center)}
+
+
+@dataclass
+class CountingTerms:
+    """Passes ``terms`` through to ``inner`` and counts the calls."""
+
+    inner: object
+    calls: int = 0
+
+    def terms(self, theta, indices=None):
+        self.calls += 1
+        return self.inner.terms(theta, indices)
+
+
+@given(
+    case=st.sampled_from(["arma11", "constant atoms"]),
+    shift=st.floats(-0.3, 0.3),
+    picks=st.lists(st.integers(0, 19), min_size=1, max_size=12),
+)
+@example(case="constant atoms", shift=0.0, picks=[0])  # only groups that retain nothing
+def test_coreset_group_values_match_each_group_bit_for_bit(coreset_cases, case, shift, picks):
+    data, cv, centre = coreset_cases[case]
+    theta = centre + shift
+    u = np.array(picks + picks[:1]) % cv.constants.size  # always one repeat
+    counting = CountingTerms(data)
+    values = cv.group_values(counting, theta, u)
+    assert counting.calls == 1
+    for slot, k in enumerate(u):
+        part = group_slice(cv, k)
+        assert values[slot] == cv.weights[part] @ data.terms(theta, cv.indices[part]) + cv.constants[k]
+    total = float(cv.constants.sum()) + float(cv.weights @ data.terms(theta, cv.indices))
+    assert cv.total(data, theta) == total
+
+
+def coreset_layout(**changes) -> dict:
+    """Arguments of a valid three-group ``CoresetCV`` (group 1 empty), with ``changes`` applied."""
+    layout = dict(
+        indices=np.array([0, 3, 2, 5]),
+        weights=np.array([1.0, 0.5, 2.0, 0.25]),
+        offsets=np.array([0, 2, 2, 4]),
+        constants=np.zeros(3),
+        max_nonzeros=3,
+        setup_evals=0,
+    )
+    return {**layout, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"offsets": np.array([1, 2, 2, 4])},  # not starting at 0
+        {"offsets": np.array([0, 2, 1, 4])},  # decreasing
+        {"indices": np.array([0, 3, 2])},  # last offset is not indices.size
+        {"weights": np.array([1.0, 0.5, 2.0])},  # last offset is not weights.size
+        {"constants": np.zeros(2)},  # offsets.size is not constants.size + 1
+        {"max_nonzeros": 1},  # a group over the budget
+        {"weights": np.array([1.0, -0.5, 2.0, 0.25])},  # a negative weight
+    ],
+)
+def test_coreset_cv_refuses_inconsistent_layouts(changes):
+    sm.CoresetCV(**coreset_layout())
+    with pytest.raises(ValueError):
+        sm.CoresetCV(**coreset_layout(**changes))
 
 
 def test_coreset_approximates_group_totals_near_mode(arma11_data):
