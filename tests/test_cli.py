@@ -254,7 +254,7 @@ def test_csv_writer_bytes_match_the_csv_module(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def fit_config(tmp_path, outdir, method="full", extra=""):
+def fit_config(tmp_path, outdir, method="full", extra="", model=""):
     return write_ini(
         tmp_path / f"{outdir}.ini",
         f"""
@@ -267,6 +267,7 @@ def fit_config(tmp_path, outdir, method="full", extra=""):
         [model]
         family = arma
         ar_order = 1
+        {model}
 
         [sampler]
         method = {method}
@@ -323,12 +324,14 @@ def test_fit_reruns_byte_identical(tmp_path):
         assert (out / n).read_bytes() == before[n]
 
 
-def test_fit_subsampled_chain(tmp_path):
-    extra = """cv = taylor
+TAYLOR_EXTRA = """cv = taylor
         group_count = 16
         m_percent = 20
         blocks = 2"""
-    cfg = fit_config(tmp_path, "sub_out", method="subsample", extra=extra)
+
+
+def test_fit_subsampled_chain(tmp_path):
+    cfg = fit_config(tmp_path, "sub_out", method="subsample", extra=TAYLOR_EXTRA)
     assert main(["fit", cfg]) == 0
     summary = dict(
         line.split("=", 1)
@@ -362,6 +365,42 @@ def test_coreset_fit_bytes_are_pinned(tmp_path):
         "draws.csv": "4bcecaa769f4e8cd76b010b5709a270bcb3b7d677e2c4b8143d7294eae60cff5",
         "spectrum.csv": "647edc0e1904e553973acd107bdb3fd46033893a9558d66689421403400cbc0d",
     }
+
+
+# SHA-256 of draws.csv and spectrum.csv, recorded before the density kernel's buffers moved into models
+FIT_PINS = {
+    "full": (
+        "e6faa9eb528b07cde45e54d8b5f0c743be4ed136a52ea212a30644993cf34a70",
+        "eb26b5d6c88088351f9249b9e4b8dba5b24f1bfca4f301442350739d48d08b1f",
+    ),
+    "taylor": (
+        "6eb08cb78fab74e9999265ae51410a838b4e14260fa03e2e430cc92795d374e8",
+        "875069a3b9fc4b91536273cfc40db36f73835486edc26cd811ae01902cb7cce6",
+    ),
+    "wrapped": (
+        "ede8865881abc355470314e07a2d84ad451c44ff3f575154a44000078726e936",
+        "ee3440f83f679c9905ada625fb4e6889b9b4c118aa1613a4d331e8ac78d5d63d",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, method, extra, model",
+    [
+        ("full", "full", "", ""),
+        ("taylor", "subsample", TAYLOR_EXTRA, ""),
+        ("wrapped", "full", "", "sv_wrapper = yes"),
+    ],
+    ids=["full", "taylor", "wrapped"],
+)
+def test_fit_bytes_are_pinned(tmp_path, name, method, extra, model):
+    # fits on fit_config's series: the full chain, the Taylor variate's chain,
+    # and an ARMA(1,0) volatility wrapper, whose density keeps f and whose
+    # spectrum sums the kernel's log f row by row
+    cfg = fit_config(tmp_path, "pin", method=method, extra=extra, model=model)
+    assert main(["fit", cfg]) == 0
+    files = ("draws.csv", "spectrum.csv")
+    assert tuple(hashlib.sha256((tmp_path / "pin" / f).read_bytes()).hexdigest() for f in files) == FIT_PINS[name]
 
 
 def test_coreset_summary_records_its_budget(tmp_path):

@@ -416,6 +416,72 @@ def test_arma_loglik_is_pinned_bit_for_bit():
     ]
 
 
+# float.hex values of a grouped derivative pass (value, gradient and Hessian
+# per group, each raveled), recorded before the density kernel's buffers moved
+# into models: the fractional row and the wrapper's kept f must not drift
+GROUPED_DERIVATIVE_PINS = {
+    "artfima": (
+        [
+            "0x1.7632b145b80c2p+5", "0x1.e4432b6a4fe50p+4",
+        ],
+        [
+            "0x1.2ddc5696fd032p+6", "0x1.3243de900598bp+6", "0x1.67bafeb886e6bp+5", "-0x1.e5d727fe9476ep+2",
+            "0x1.0f29e5583f989p+3", "0x1.fdf586e544254p+6", "0x1.f9709662c6651p+6", "0x1.303086155a1ddp+6",
+            "-0x1.b8c65541fab9cp+3", "0x1.97cee7142e657p+4",
+        ],
+        [
+            "-0x1.e157a3eaf041fp+7", "-0x1.b5d9ae1a7bfe3p+7", "-0x1.08d31d630e8bep+7", "0x1.87995d9a6d1bbp+4",
+            "-0x1.2f4731d02f695p+6", "-0x1.b5d9ae1a7bfe3p+7", "-0x1.a512b9b6a5f46p+7", "-0x1.0314b1d554e3bp+7",
+            "0x1.77fad5f8f1480p+4", "-0x1.33ded36470cbdp+6", "-0x1.08d31d630e8bep+7", "-0x1.0314b1d554e3bp+7",
+            "-0x1.39c5ba4d72bbcp+6", "-0x1.fa1251f088b93p+3", "-0x1.6978a1794179cp+5", "0x1.87995d9a6d1bbp+4",
+            "0x1.77fad5f8f1480p+4", "-0x1.fa1251f088b93p+3", "-0x1.32c7b718bb07ap+2", "0x1.e78d76a16b9c8p+2",
+            "-0x1.2f4731d02f695p+6", "-0x1.33ded36470cbdp+6", "-0x1.6978a1794179cp+5", "0x1.e78d76a16b9c8p+2",
+            "-0x1.4de53cab07f33p+6", "-0x1.4a1a5b7685b6ep+8", "-0x1.40e09a8e1e9d1p+8", "-0x1.89a6d383fb186p+7",
+            "0x1.2d25f0b1f2cc7p+5", "-0x1.f7605dd1942d9p+6", "-0x1.40e09a8e1e9d0p+8", "-0x1.4c0394430a255p+8",
+            "-0x1.7c927b6dfd19ep+7", "0x1.1fbd47da06588p+5", "-0x1.f30b84ccd594cp+6", "-0x1.89a6d383fb186p+7",
+            "-0x1.7c927b6dfd19ep+7", "-0x1.d344e5e7bc72ap+6", "-0x1.059e8528e8986p+5", "-0x1.2c2acf7f6ec48p+6",
+            "0x1.2d25f0b1f2cc7p+5", "0x1.1fbd47da06588p+5", "-0x1.059e8528e8986p+5", "-0x1.ad6cb97a0ce2ep+2",
+            "0x1.b219dd1b9444fp+3", "-0x1.f7605dd1942d9p+6", "-0x1.f30b84ccd594cp+6", "-0x1.2c2acf7f6ec48p+6",
+            "0x1.b219dd1b9444fp+3", "-0x1.91f3b9c50b997p+6",
+        ],
+    ),
+    "wrapped": (
+        [
+            "0x1.0bf04d75e7532p+5", "0x1.a1c08baa1c602p+3",
+        ],
+        [
+            "0x1.1658c41607c53p+6", "0x1.159ade8057ec8p+6", "0x1.c328527623194p+0", "-0x1.9f5bddd311bd8p+0",
+            "0x1.c98193bfe927ap+6", "0x1.c06241abee5e4p+6", "0x1.231b10ef500c1p+4", "0x1.447c8ac07e16dp+1",
+        ],
+        [
+            "-0x1.0d36af183b6b6p+7", "-0x1.ff23377b966aap+6", "-0x1.4bf311ee9fe24p+5", "-0x1.ee7e56805583ep+4",
+            "-0x1.ff23377b966abp+6", "-0x1.0bd44087a83e1p+7", "-0x1.4a2914d9775acp+5", "-0x1.f0c4b89f868eep+4",
+            "-0x1.4bf311ee9fe24p+5", "-0x1.4a2914d9775acp+5", "-0x1.6cc361f7617acp+5", "-0x1.8c13720283e98p+3",
+            "-0x1.ee7e56805583ep+4", "-0x1.f0c4b89f868eep+4", "-0x1.8c13720283e98p+3", "-0x1.328a4563a8d9dp+2",
+            "-0x1.5bb0394133284p+7", "-0x1.6b94043b0412cp+7", "-0x1.089de382bd812p+6", "-0x1.8bfe0ae2a3a9fp+5",
+            "-0x1.6b94043b0412cp+7", "-0x1.a1d088ee88a36p+7", "-0x1.02cbc83440cd8p+6", "-0x1.8646a76900be0p+5",
+            "-0x1.089de382bd812p+6", "-0x1.02cbc83440cd8p+6", "-0x1.ba860ede6bc39p+5", "-0x1.30d74d2811682p+4",
+            "-0x1.8bfe0ae2a3a9fp+5", "-0x1.8646a76900be0p+5", "-0x1.30d74d2811682p+4", "-0x1.277f51d32bbe8p+1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, model, theta",
+    [
+        ("artfima", sm.ModelSpec(1, 1, fractional="artfima"), [0.3, -0.2, 0.25, -0.5, 0.1]),
+        ("wrapped", sm.ModelSpec(1, 1, sv_wrapper=True), [0.3, -0.2, 0.1, -1.0]),
+    ],
+    ids=["artfima", "wrapped"],
+)
+def test_grouped_loglik_derivatives_are_pinned_bit_for_bit(name, model, theta):
+    ts = sm.demean(sm.simulate_arma([0.5], [0.3], 1.0, 301, seed=5))
+    data = sm.WhittleData(periodogram=sm.periodogram(ts), model=model)
+    parts = data.loglik_derivatives(np.array(theta), sm.GroupIndex(data.n_freq, 2))
+    assert [[float(x).hex() for x in np.ravel(part)] for part in parts] == list(GROUPED_DERIVATIVE_PINS[name])
+
+
 # Odd and even n_time with n_freq = 4096, so that psi and 1/phi's impulse
 # response, with roots 0.05 from the unit circle, decay within n_freq lags
 MOMENT_PERIODOGRAMS = {
