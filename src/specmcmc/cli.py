@@ -402,6 +402,9 @@ def cmd_compare(config_full_path: str, config_sub_path: str) -> None:
         raise ConfigError("first config must use method = full")
     if config_sub.method != "subsample":
         raise ConfigError("second config must use method = subsample")
+    if min(config_full.iterations, config_sub.iterations) < diagnostics.IF_MIN_DRAWS:
+        least = diagnostics.IF_MIN_DRAWS
+        raise ConfigError(f"compare needs iterations >= {least} in both configs to estimate inefficiency factors")
     target_full, target_sub = _fit_target(config_full), _fit_target(config_sub)
     differ = [name for name in target_full if target_full[name] != target_sub[name]]
     if differ:

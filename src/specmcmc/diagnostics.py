@@ -24,6 +24,9 @@ def _autocorrelations(x: np.ndarray) -> np.ndarray:
     return acov / acov[0]
 
 
+IF_MIN_DRAWS = 100  # the fewest draws an inefficiency factor is estimated from
+
+
 def inefficiency_factor(chain) -> float:
     """IF = 1 + 2 * sum of autocorrelations, truncated the conservative way.
 
@@ -34,8 +37,8 @@ def inefficiency_factor(chain) -> float:
     sampling.
     """
     chain = np.asarray(chain, dtype=float).ravel()
-    if chain.size < 100:
-        raise ValueError("need at least 100 draws to estimate an inefficiency factor")
+    if chain.size < IF_MIN_DRAWS:
+        raise ValueError(f"need at least {IF_MIN_DRAWS} draws to estimate an inefficiency factor")
     if np.ptp(chain) == 0.0:
         raise ValueError("chain is constant; inefficiency factor undefined")
     rho = _autocorrelations(chain)
@@ -144,7 +147,6 @@ def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.
     """
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     trig = None  # built on first need, for the kernel or ARFIMA's L
-    out, work = np.empty((2, 2, grid.n_freq))
     total, cepstrum, memory = np.zeros(grid.n_freq), np.zeros(grid.n_time), 0.0  # memory: sum of d
     previous, start, terms = None, 64, 1
     for row in draws:
@@ -154,9 +156,9 @@ def posterior_mean_spectrum(draws, model: ModelSpec, grid: FrequencyGrid) -> np.
             start = start if coef is None else coef.size  # the next row's series is likely as long
             if coef is None:
                 trig = trig_table(model, grid.omegas) if trig is None else trig
-                density_from_trig(model, nat, trig, out, work)
+                log_dens = density_from_trig(model, nat, trig)[0]
         if coef is None:
-            total += out[0]
+            total += log_dens
         else:
             cepstrum[: coef.size] += coef
             memory, terms = memory + nat.d, max(terms, coef.size)

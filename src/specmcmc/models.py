@@ -256,8 +256,8 @@ def _temper(lambda_, half_sin2, out) -> np.ndarray:
     return out
 
 
-def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out, work, ordinates=None):
-    """log f, or the Whittle terms, at the columns of a :func:`trig_table`.
+def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, ordinates=None, buf=None):
+    """log f, or the Whittle terms, at the columns of a :func:`trig_table`, with L and f.
 
     f(omega) = B(omega) * T(omega)^(-d) (+ sigma2_eps/(2*pi) if wrapped), with
     B = sigma2/(2*pi) * |theta(z)|^2 / |phi(z)|^2, z = exp(-i*omega),
@@ -265,15 +265,19 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
     T(omega) = |1 - exp(-(lambda + i*omega))|^2 written as :func:`_temper`, accurate
     as omega -> 0 (lambda = 0 for ARFIMA, whose L the table holds).
 
-    ``out[0]`` receives log f, or given the periodogram ``ordinates`` I the
-    Whittle terms -(log f + I/f), with I/f in ``out[1]``; ``out`` and ``work``
-    are (2, n).  The fractional factor stays in log space: L = log T is one
-    log per frequency, log f = log B - d*L and I/f = I * exp(-log f), and no
+    Returns (row, L, f): ``row`` is log f, or given the periodogram ``ordinates`` I
+    the Whittle terms -(log f + I/f); L is returned for fractional models, and f
+    where it is kept (without ``ordinates``, or wrapped), each None otherwise.
+    Everything lives in one (2, 2, n) array, ``buf`` or a new one: ``row`` is
+    buf[0, 0], I/f is buf[0, 1] and buf[1] is scratch, which holds f where it is
+    kept.  One allocation, as two per call can make glibc trim the heap and fault
+    it back in on every call.  The fractional factor stays in log space: L = log T
+    is one log per frequency, log f = log B - d*L and I/f = I * exp(-log f), and no
     power is taken.  f itself is formed and logged for ARMA models, at d = 0
-    (giving ARMA's bytes) and wrapped (f = B * exp(-d*L) + c).  Returns L for
-    fractional models, and f where it is kept (without ``ordinates``, or
-    wrapped); each is None otherwise.
+    (giving ARMA's bytes) and wrapped (f = B * exp(-d*L) + c).
     """
+    buf = np.empty((2, 2, trig.shape[1])) if buf is None else buf
+    out, work = buf[0], buf[1]  # indexed: unpacking iterates the array, which is slower
     order = (trig.shape[0] - 1) // 2
     cos, sin, last = trig[:order], trig[order : 2 * order], trig[2 * order]
     keep = ordinates is None or spec.sv_wrapper  # else f goes where the terms go, logged in place
@@ -299,7 +303,7 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
                 minus_log = np.subtract(scaled, log_base, out=out[0])
                 ratio = np.multiply(np.exp(minus_log, out=out[1]), ordinates, out=out[1])
                 np.subtract(minus_log, ratio, out=out[0])
-            return log_temper, None
+            return out[0], log_temper, None
     if base is not dens:
         dens.fill(base)
     if spec.sv_wrapper:
@@ -311,7 +315,7 @@ def density_from_trig(spec: ModelSpec, nat: NaturalParams, trig: np.ndarray, out
         terms = np.log(dens, out=out[0])
         terms += ratio
         np.negative(terms, out=terms)
-    return log_temper, dens if keep else None
+    return out[0], log_temper, dens if keep else None
 
 
 def _gram(rows, weight, dot, scratch) -> np.ndarray:
@@ -323,20 +327,20 @@ def _gram(rows, weight, dot, scratch) -> np.ndarray:
     return out
 
 
-def log_density_derivatives(
-    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, weights, dens, log_temper, work, rows, total, dot
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the Whittle log-likelihood sum_k ell_k in the unconstrained vector.
+def whittle_derivatives(
+    spec: ModelSpec, vector, nat: NaturalParams, trig: np.ndarray, ordinates, total, dot
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whittle log-likelihood sum_k ell_k with its gradient and Hessian in the unconstrained vector, from one pass.
 
-    ``weights`` holds w_k = I_k/f_k - 1 = d ell_k / d log f_k, where ell_k =
-    -(log f_k + I_k/f_k) has second derivative -(w_k + 1): the Hessian is
-    sum_k w_k hess log f_k - (w_k + 1) grad log f_k grad log f_k^T.  ``nat``,
-    ``log_temper`` and ``dens`` are the decoded ``vector`` and the L and f of
-    :func:`density_from_trig`.  ``weights``, ``dens``, the (4, n) ``work`` and
-    the (dim, n) ``rows`` (grad log f per frequency, natural coordinates) are
-    overwritten.  Frequency sums go through ``total(x)`` and ``dot(a, b)``,
-    whole (``np.sum``, ``np.matmul``) or per group, which adds a leading
-    n_groups axis.  Blocks are contracted as formed:
+    ``nat`` is the decoded ``vector``; ``trig`` holds the columns of a :func:`trig_table`
+    and ``ordinates`` their I.  Frequency sums go through ``total(x)`` and ``dot(a, b)``,
+    whole (``np.sum``, ``np.matmul``) or per group, which adds a leading n_groups
+    axis; the value is ``total`` of :func:`density_from_trig`'s terms.  With w_k =
+    I_k/f_k - 1 = d ell_k / d log f_k, where ell_k = -(log f_k + I_k/f_k) has second
+    derivative -(w_k + 1), the Hessian is sum_k w_k hess log f_k - (w_k + 1) grad log
+    f_k grad log f_k^T.  Besides the kernel's rows and three of scratch it uses one
+    (dim, n) block, grad log f per frequency in natural coordinates.  Blocks are
+    contracted as formed:
 
     - AR and MA, with parts re, im (:func:`_circle_parts`) and power P of
       1 + sum_j c_j exp(-i*j*omega): g_j = d log P / d c_j = 2 (re cos j*omega
@@ -353,6 +357,14 @@ def log_density_derivatives(
     and d = 0.5 tanh(d_tilde) works on a few numbers; as tanh'' = -2 tanh tanh',
     each tanh coordinate x adds -2 tanh(x) times its gradient to its diagonal.
     """
+    n = trig.shape[1]
+    buf = np.empty((7, n))  # the kernel's (2, 2, n), then scratch
+    rows = np.empty((spec.n_params, n))
+    terms, log_temper, dens = density_from_trig(spec, nat, trig, ordinates, buf[:4].reshape(2, 2, n))
+    weights = buf[1]  # I/f, then w
+    value = total(terms)
+    weights -= 1.0
+    work = (terms, buf[4], buf[5], buf[6])
     order = (trig.shape[0] - 1) // 2
     cos, sin, half_sin2 = trig[:order], trig[order : 2 * order], trig[2 * order]
     vector = np.asarray(vector, dtype=float)
@@ -450,7 +462,7 @@ def log_density_derivatives(
         pair_weight -= noise
         pair_weight *= noise
         hess[..., base, base] = total(pair_weight)
-    return grad, jac.T @ hess @ jac + curv
+    return value, grad, jac.T @ hess @ jac + curv
 
 
 def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray | float:
@@ -458,9 +470,8 @@ def spectral_density(spec: ModelSpec, nat: NaturalParams, omega) -> np.ndarray |
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.any(omega_arr <= 0.0) or np.any(omega_arr >= np.pi):
         raise ValueError("frequencies must lie strictly inside (0, pi)")
-    out, work = np.empty((2, 2, omega_arr.size))
-    _, dens = density_from_trig(spec, nat, trig_table(spec, omega_arr), out, work)
-    dens = np.exp(out[0], out=out[0]) if dens is None else dens
+    log_dens, _, dens = density_from_trig(spec, nat, trig_table(spec, omega_arr))
+    dens = np.exp(log_dens, out=log_dens) if dens is None else dens
     return dens if np.ndim(omega) else float(dens[0])
 
 

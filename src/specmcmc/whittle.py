@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import lfilter, unit_impulse
 
-from .models import LOG_TWO_PI, ModelSpec, density_from_trig, log_density_derivatives, to_natural, trig_table
+from .models import LOG_TWO_PI, ModelSpec, density_from_trig, to_natural, trig_table, whittle_derivatives
 from .spectral import Periodogram, _cosine_series
 
 # The moment form's truncations.  psi keeps L terms, L the smallest of _MIN_LAGS * 2^i at which
@@ -69,10 +69,7 @@ class WhittleData:
         """Whittle terms -(log f + I/f) at all frequencies or a subset.
 
         Each term depends only on its own frequency, so a subset's terms equal
-        the matching entries of the full set bit for bit.  Besides a subset's
-        columns of the trig table, allocates one (2, 2, n) array holding the
-        result in its first row: two per call can make glibc trim the heap
-        and fault it back in on every call.
+        the matching entries of the full set bit for bit.
         """
         nat = to_natural(self.model, theta)
         if indices is None:
@@ -80,18 +77,15 @@ class WhittleData:
         else:
             trig = self._trig.take(indices, axis=1)
             ordinates = self.periodogram.ordinates[indices]
-        buf = np.empty((2, 2, trig.shape[1]))  # indexed: unpacking iterates the array, which is slower
-        density_from_trig(self.model, nat, trig, buf[0], buf[1], ordinates)
-        return buf[0, 0]
+        return density_from_trig(self.model, nat, trig, ordinates)[0]
 
     def loglik_derivatives(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood with its exact gradient and Hessian in theta, from one pass.
 
-        Without ``groups`` the value equals ``float(np.sum(terms(theta)))`` bit for bit, and
-        ``models.log_density_derivatives`` gives the gradient and Hessian.
-        With a ``GroupIndex`` all three are per group: (n_groups,), equal bit
-        for bit to ``groups.sums(terms(theta))``, (n_groups, dim) and
-        (n_groups, dim, dim).  Besides a (7, n_freq) buffer it uses one (dim, n_freq) block.
+        ``models.whittle_derivatives`` over all frequencies.  Without ``groups`` the value
+        equals ``float(np.sum(terms(theta)))`` bit for bit.  With a ``GroupIndex`` all
+        three are per group: (n_groups,), equal bit for bit to
+        ``groups.sums(terms(theta))``, (n_groups, dim) and (n_groups, dim, dim).
         """
         if groups is None:
             total, dot = np.sum, np.matmul
@@ -99,7 +93,7 @@ class WhittleData:
             total = groups.sums  # dot goes row by row, so no (rows, n_freq) product is formed
             dot = lambda a, b: np.array([groups.sums(row * b) for row in a]) if a.ndim > 1 else groups.sums(a * b)
         nat = to_natural(self.model, theta)
-        return _derivatives(self.model, theta, nat, self._trig, self.periodogram.ordinates, total, dot)
+        return whittle_derivatives(self.model, theta, nat, self._trig, self.periodogram.ordinates, total, dot)
 
     def moments(self, size: int) -> np.ndarray:
         """Periodogram cosine moments A_j = sum_k I_k cos(j omega_k), j = 0, 1, ... (at least ``size``).
@@ -123,7 +117,12 @@ class WhittleData:
         return table
 
     def _psi(self, nat) -> np.ndarray | None:
-        """psi's first L coefficients (``moment_loglik``), or None where L would pass n_freq."""
+        """psi's first L coefficients (``moment_loglik``), or None where L would pass n_freq.
+
+        None also for a wrapped or ARFIMA model, whose series never converge: the moment form's one gate.
+        """
+        if self.model.sv_wrapper or self.model.fractional == "arfima":
+            return None
         ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
         size = self._lags
         while size <= self.n_freq:
@@ -161,8 +160,6 @@ class WhittleData:
         a further chunk costs several passes over all frequencies, and a mode search meets it
         mostly at a trial point on its way.
         """
-        if self.model.sv_wrapper or self.model.fractional == "arfima":
-            return None
         psi = self._psi(nat)
         if psi is None:
             return None
@@ -202,8 +199,6 @@ class WhittleData:
         never converge, when L would pass n_freq, and for a non-finite value.
         """
         spec, n_time, n_freq = self.model, self.periodogram.grid.n_time, self.n_freq
-        if spec.sv_wrapper or spec.fractional == "arfima":
-            return None
         nat = to_natural(spec, theta)
         psi = self._psi(nat)
         if psi is None:
@@ -302,24 +297,10 @@ def full_loglik_derivatives(data, theta):
             if grid is not None:
                 trig, ordinates, weights = grid
                 sums = lambda x: x @ weights, lambda a, b: a @ (b * weights)
-                parts = _derivatives(data.model, theta, nat, trig, ordinates, *sums)
+                parts = whittle_derivatives(data.model, theta, nat, trig, ordinates, *sums)
                 if all(np.all(np.isfinite(part)) for part in parts):
                     return parts
     return data.loglik_derivatives(theta)
-
-
-def _derivatives(spec, theta, nat, trig, ordinates, total, dot):
-    """Whittle value, gradient and Hessian over the columns of a trig table, sums through ``total`` and ``dot``."""
-    buf = np.empty((7, trig.shape[1]))  # the kernel's rows, then the derivatives' scratch
-    rows = np.empty((spec.n_params, trig.shape[1]))
-    log_temper, dens = density_from_trig(spec, nat, trig, buf[:2], buf[2:4], ordinates)
-    terms, weights = buf[:2]
-    value = total(terms)
-    weights -= 1.0
-    score, hessian = log_density_derivatives(
-        spec, theta, nat, trig, weights, dens, log_temper, (terms, *buf[4:]), rows, total, dot
-    )
-    return value, score, hessian
 
 
 def grad_hess(data, g: GroupIndex, theta_star):

@@ -601,6 +601,29 @@ def test_compare_rejects_different_data(tmp_path, capsys):
     assert not (tmp_path / "dd_sub").exists()
 
 
+@pytest.mark.parametrize("short", ["full", "sub"])
+def test_compare_refuses_too_few_iterations_up_front(tmp_path, capsys, monkeypatch, short):
+    # the inefficiency factors need 100 draws a chain: fewer is a config
+    # error, raised before the data is loaded, the mode search or either chain
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the iterations were checked")
+
+    for name in ("cli._load_data", "sampler.find_mode", "sampler.run_full_chain", "sampler.run_pm_chain"):
+        monkeypatch.setattr(f"specmcmc.{name}", refuse)
+    configs = {
+        "full": fit_config(tmp_path, "few_full"),
+        "sub": fit_config(tmp_path, "few_sub", method="subsample", extra="cv = taylor"),
+    }
+    path = Path(configs[short])
+    path.write_text(path.read_text().replace("iterations = 400", "iterations = 60"))
+    assert main(["compare", configs["full"], configs["sub"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "iterations" in err and "100" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "few_sub").exists() and not (tmp_path / "few_full").exists()
+
+
 def test_error_lines_are_single_and_categorized(tmp_path, capsys):
     bad = write_ini(
         tmp_path / "bad.ini",
