@@ -82,7 +82,7 @@ class WhittleData:
     def loglik_derivatives(self, theta, groups: GroupIndex | None = None):
         """Whittle log-likelihood with its exact gradient and Hessian in theta, from one pass.
 
-        ``models.whittle_derivatives`` over all frequencies.  Without ``groups`` the value
+        One ``models.whittle_derivatives`` pass over all frequencies.  Without ``groups`` the value
         equals ``float(np.sum(terms(theta)))`` bit for bit.  With a ``GroupIndex`` all
         three are per group: (n_groups,), equal bit for bit to
         ``groups.sums(terms(theta))``, (n_groups, dim) and (n_groups, dim, dim).
