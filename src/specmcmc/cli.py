@@ -364,6 +364,8 @@ def cmd_periodogram(input_path: str, output_path: str, column: int = 0) -> None:
 
 def cmd_fit(config_path: str) -> None:
     config = load_config(config_path)
+    if config.iterations < 2:  # the posterior sds and the density grids need two draws
+        raise ConfigError("fit needs iterations >= 2 to estimate posterior spreads")
     data, log_prior_fn, mode = _prepare(config)
     output = _run_chain(config, data, log_prior_fn, mode)
     # everything is computed before the directory is made: a failed fit leaves nothing

@@ -60,6 +60,8 @@ class WhittleData:
         object.__setattr__(self, "_moments", np.zeros(0))  # built on the first moment-form call
         object.__setattr__(self, "_lags", _MIN_LAGS)  # where the next call's search for L starts
         object.__setattr__(self, "_grids", {})  # the quadrature's grids, by M
+        # the moment form's one model gate, read before theta is decoded: wrapped and ARFIMA psi never converge
+        object.__setattr__(self, "_moment_form", not (self.model.sv_wrapper or self.model.fractional == "arfima"))
 
     @property
     def n_freq(self) -> int:
@@ -117,12 +119,7 @@ class WhittleData:
         return table
 
     def _psi(self, nat) -> np.ndarray | None:
-        """psi's first L coefficients (``moment_loglik``), or None where L would pass n_freq.
-
-        None also for a wrapped or ARFIMA model, whose series never converge: the moment form's one gate.
-        """
-        if self.model.sv_wrapper or self.model.fractional == "arfima":
-            return None
+        """psi's first L coefficients (``moment_loglik``; past the model gate), or None where L would pass n_freq."""
         ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
         size = self._lags
         while size <= self.n_freq:
@@ -155,10 +152,8 @@ class WhittleData:
         omega_k) = sum_m K_m cos(l nu_m) for |l| < M/2.  So the sums are sum_m E_m I~_m a(nu_m) and
         sum_m E_m b(nu_m), with pseudo-ordinates I~ = K/E, up to rounding and the coefficients
         beyond the psi tail.  nu_{M-m} repeats nu_m, so the grid keeps m = 0..M/2 and the interior
-        weights 2 E_m.  Cached per M.  None where ``moment_loglik`` does not apply, where M would
-        reach n_freq and the grid save nothing, and where M/2 would pass the table's first chunk:
-        a further chunk costs several passes over all frequencies, and a mode search meets it
-        mostly at a trial point on its way.
+        weights 2 E_m.  Cached per M; the moment table grows to M/2 lags.  None where psi would pass
+        n_freq lags, and where M would reach n_freq and the grid save nothing.
         """
         psi = self._psi(nat)
         if psi is None:
@@ -169,7 +164,7 @@ class WhittleData:
             # to rho^L / (1 - rho) from lag L on; psi's decay faster near d = 0
             while size < self.n_freq and math.exp(-nat.lambda_ * size / 4) >= _TAIL * -math.expm1(-nat.lambda_):
                 size *= 2
-        if size >= self.n_freq or size // 2 > _FIRST_MOMENTS:
+        if size >= self.n_freq:
             return None
         if size not in self._grids:
             n_time, half = self.periodogram.grid.n_time, size // 2
@@ -198,6 +193,8 @@ class WhittleData:
         the ARMA roots are then below rounding.  None for a wrapped or ARFIMA model, whose series
         never converge, when L would pass n_freq, and for a non-finite value.
         """
+        if not self._moment_form:
+            return None
         spec, n_time, n_freq = self.model, self.periodogram.grid.n_time, self.n_freq
         nat = to_natural(spec, theta)
         psi = self._psi(nat)
@@ -290,7 +287,7 @@ def full_loglik_derivatives(data, theta):
     falls back to ``data.loglik_derivatives(theta)`` where the grid does not apply, for a
     non-finite result and for any other object with that method.
     """
-    if isinstance(data, WhittleData):
+    if isinstance(data, WhittleData) and data._moment_form:
         nat = to_natural(data.model, theta)
         with np.errstate(all="ignore"):  # a non-finite result gives the fallback
             grid = data._quadrature(nat)

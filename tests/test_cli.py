@@ -331,18 +331,20 @@ TAYLOR_EXTRA = """cv = taylor
 
 
 def test_fit_subsampled_chain(tmp_path):
-    cfg = fit_config(tmp_path, "sub_out", method="subsample", extra=TAYLOR_EXTRA)
-    assert main(["fit", cfg]) == 0
-    summary = dict(
-        line.split("=", 1)
-        for line in (tmp_path / "sub_out" / "summary.txt").read_text().splitlines()
-    )
-    assert summary["method"] == "subsample"
-    assert summary["cv"] == "taylor"
-    assert summary["m"] == "3"
-    assert summary["group_count"] == "16"
-    _, rows = read_csv(tmp_path / "sub_out" / "draws.csv")
-    assert len(rows) == 400
+    for cv in ("taylor", "none"):
+        extra = TAYLOR_EXTRA.replace("cv = taylor", f"cv = {cv}")
+        cfg = fit_config(tmp_path, f"sub_{cv}", method="subsample", extra=extra)
+        assert main(["fit", cfg]) == 0
+        summary = dict(
+            line.split("=", 1)
+            for line in (tmp_path / f"sub_{cv}" / "summary.txt").read_text().splitlines()
+        )
+        assert summary["method"] == "subsample"
+        assert summary["cv"] == cv
+        assert summary["m"] == "3"
+        assert summary["group_count"] == "16"
+        _, rows = read_csv(tmp_path / f"sub_{cv}" / "draws.csv")
+        assert len(rows) == 400
 
 
 CORESET_EXTRA = """cv = coreset
@@ -580,11 +582,14 @@ def test_compare_searches_for_the_mode_once(tmp_path, monkeypatch):
 
 
 def test_compare_rejects_method_mismatch(tmp_path, capsys):
+    # a full config twice, then the two configs in swapped order
     cfg_full = fit_config(tmp_path, "mm_full")
-    assert main(["compare", cfg_full, cfg_full]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:")
-    assert err.count("\n") == 1
+    cfg_sub = fit_config(tmp_path, "mm_sub", method="subsample", extra="cv = taylor")
+    for configs, which in (([cfg_full, cfg_full], "second"), ([cfg_sub, cfg_full], "first")):
+        assert main(["compare", *configs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {which} config must use method")
+        assert err.count("\n") == 1
 
 
 def test_compare_rejects_different_data(tmp_path, capsys):
@@ -622,6 +627,23 @@ def test_compare_refuses_too_few_iterations_up_front(tmp_path, capsys, monkeypat
     assert "iterations" in err and "100" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "few_sub").exists() and not (tmp_path / "few_full").exists()
+
+
+def test_fit_refuses_a_single_iteration_up_front(tmp_path, capsys, monkeypatch):
+    # posterior sds and density grids need two draws: one is a config error,
+    # raised before the data is loaded or the mode searched for
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the iterations were checked")
+
+    for name in ("cli._load_data", "sampler.find_mode"):
+        monkeypatch.setattr(f"specmcmc.{name}", refuse)
+    cfg = fit_config(tmp_path, "one_out")
+    Path(cfg).write_text(Path(cfg).read_text().replace("iterations = 400", "iterations = 1"))
+    assert main(["fit", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "iterations >= 2" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "one_out").exists()
 
 
 def test_error_lines_are_single_and_categorized(tmp_path, capsys):
@@ -700,6 +722,19 @@ def test_fit_data_in_large_units(tmp_path, capsys):
         line.split("=", 1) for line in (tmp_path / "large_out" / "summary.txt").read_text().splitlines()
     )
     assert float(summary["posterior_mean_log_sigma2"]) == pytest.approx(100.0, abs=0.5)
+
+
+def test_fit_log_squares_fits_the_transformed_series(tmp_path):
+    # log_squares = true fits the log squared, demeaned series: the summary's
+    # periodogram hash is that of the transformed series' periodogram
+    cfg = fit_config(tmp_path, "log_out")
+    Path(cfg).write_text(Path(cfg).read_text().replace("n_time = 512", "n_time = 512\nlog_squares = true"))
+    assert main(["fit", cfg]) == 0
+    lines = (tmp_path / "log_out" / "summary.txt").read_text().splitlines()
+    config = load_config(cfg)
+    raw = sm.simulate_arma([0.4], [], 1.0, 512, seed=config.component_seed(0))
+    ordinates = sm.periodogram(sm.log_square_transform(raw)).ordinates
+    assert f"periodogram_sha256={hashlib.sha256(ordinates.tobytes()).hexdigest()}" in lines
 
 
 def test_summary_fingerprints_the_periodogram(tmp_path, capsys):

@@ -197,6 +197,24 @@ def test_giga_monotone_and_sparse():
     assert generous.errors[-1] <= single.errors[-1]
 
 
+@pytest.mark.parametrize(
+    "vectors, target, weights, alignment",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], 1.0),
+        ([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0]], [1.0, 1.0], [1.0, 0.0, 0.0], np.sqrt(0.5)),
+        ([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], [1.0, 0.0], np.sqrt(0.5)),
+    ],
+    ids=["target_is_an_atom", "parallel_atoms", "opposed_atom"],
+)
+def test_giga_stops_at_its_first_pick(vectors, target, weights, alignment):
+    # after the first pick the residual vanishes, the other atoms are parallel
+    # to it and cannot turn the direction, or they point away from the
+    # residual: the fit stays at that one atom, whatever the budget
+    result = sm.giga(np.array(vectors), np.array(target), m_iter=5)
+    np.testing.assert_allclose(result.weights, weights, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(result.alignments, [alignment])
+
+
 def test_giga_rejects_degenerate_input():
     good = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):

@@ -628,16 +628,34 @@ def test_quadrature_raises_outside_the_parameter_range():
         whittle.full_loglik_derivatives(data, np.array([0.1, 0.2, 800.0]))
 
 
-def test_quadrature_reads_only_the_first_moment_chunk(monkeypatch):
-    # a grid whose M/2 passes the table's first chunk would build the next
-    # chunk, which costs several passes: the per-frequency pass runs instead.  The first
-    # chunk has 64 lags, but here L = 64 and M/2 = 128
+def test_quadrature_grows_the_moment_table_past_its_first_chunk(monkeypatch):
+    # L = 64, so M/2 = 128 passes a first chunk of 64 lags: the table grows by
+    # its next chunk, as for moment_loglik, and the grid applies
     monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 64)
     data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=sm.ModelSpec(1, 1))
     theta = np.array([0.3, 0.2, 0.0])
-    for got, want in zip(whittle.full_loglik_derivatives(data, theta), data.loglik_derivatives(theta)):
-        np.testing.assert_array_equal(got, want)
-    assert not data._grids and data._moments.size == 0
-    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 128)
-    whittle.full_loglik_derivatives(data, theta)
+    quadrature = whittle.full_loglik_derivatives(data, theta)
     assert sorted(data._grids) == [256] and data._moments.size == 128
+    for got, want, scale in zip(quadrature, data.loglik_derivatives(theta), per_frequency_scales(data, theta)):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        (sm.ModelSpec(2, 1, sv_wrapper=True), [0.3, -0.2, 0.4, 0.1, -1.0]),
+        (sm.ModelSpec(1, 1, fractional="arfima"), [0.3, -0.2, 0.25, 0.1]),
+    ],
+    ids=["wrapped", "arfima"],
+)
+def test_gated_models_decode_theta_once(monkeypatch, spec, theta):
+    # the moment form's model gate is read before theta is decoded, so the
+    # per-frequency fallback decodes it once
+    calls = []
+    decode = whittle.to_natural
+    monkeypatch.setattr(whittle, "to_natural", lambda *args: calls.append(args) or decode(*args))
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=spec)
+    for full in (sm.full_loglik, whittle.full_loglik_derivatives):
+        calls.clear()
+        full(data, np.array(theta))
+        assert len(calls) == 1, full.__name__
