@@ -194,13 +194,17 @@ def _one_line(exc: Exception) -> str:
 
 
 def _simulate(config: ExperimentConfig) -> series.TimeSeries:
-    return series.simulate_arma(
-        np.asarray(config.phi),
-        np.asarray(config.theta),
-        config.sigma2,
-        config.n_time,
-        seed=config.component_seed(0),
-    )
+    """The configured ARMA simulation; settings ``simulate_arma`` refuses are a ``ConfigError``."""
+    try:
+        return series.simulate_arma(
+            np.asarray(config.phi),
+            np.asarray(config.theta),
+            config.sigma2,
+            config.n_time,
+            seed=config.component_seed(0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_data(config: ExperimentConfig) -> series.TimeSeries:

@@ -250,8 +250,6 @@ def giga(vectors: np.ndarray, target: np.ndarray, m_iter: int) -> GigaResult:
         geo = unit - along[:, None] * direction
         geo_norms = np.linalg.norm(geo, axis=1)
         usable = geo_norms > 1e-14
-        if not np.any(usable):
-            break
         scores = np.full(vectors.shape[0], -np.inf)
         scores[usable] = (geo[usable] @ (resid / resid_norm)) / geo_norms[usable]
         pick = int(np.argmax(scores))

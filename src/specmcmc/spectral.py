@@ -76,20 +76,23 @@ def _chirp(m: np.ndarray, n_time: int) -> np.ndarray:
     return np.exp(m, out=m)
 
 
-def _cosine_series(coef: np.ndarray, n_time: int, n_out: int, first: int = 1, offset: int = 0) -> np.ndarray:
-    """sum_k coef_k cos(2 pi j (offset + k) / n_time) at j = first..first + n_out - 1, by one chirp convolution.
+def _cosine_series(coef: np.ndarray, n_time: int, n_out: int) -> np.ndarray:
+    """sum_k coef_k cos(2 pi j k / n_time), k = 0, 1, ..., at j = 1..n_out, by one chirp convolution.
 
     Bluestein: exp(-2 pi i j k / n) = conj(b_j b_k) b_{j-k}, so the sum is conj(b_j) times a
     convolution of coef_k conj(b_k) with the chirp, taken at a fast FFT length.  A zero-padded FFT
     of length n would do the same, but for n with a large prime factor (100001 = 11 * 9091) it
-    convolves internally at about 2n, in buffers of that size.
+    convolves internally at about 2n, in buffers of that size.  With the posterior spectrum's few
+    cepstral coefficients the chirp is the cheaper (12.7 against 21 ms at n_time 100001, and
+    cheaper at 200001 too).  The Whittle moment table has n_freq coefficients, where one chirp
+    would need buffers about 3 n_freq long, so it is the plain FFT (``WhittleData.moments``).
     """
     size = coef.size
     length = next_fast_len(2 * size + n_out - 1)
-    spectrum = np.fft.fft(coef * _chirp(np.arange(offset, offset + size), n_time).conj(), length)
+    spectrum = np.fft.fft(coef * _chirp(np.arange(size), n_time).conj(), length)
     # b_{j-k}, a temporary: held past this line it would add to the transient
-    spectrum *= np.fft.fft(_chirp(np.arange(first - offset - size, first - offset + n_out), n_time), length)
+    spectrum *= np.fft.fft(_chirp(np.arange(1 - size, 1 + n_out), n_time), length)
     series = np.fft.ifft(spectrum, out=spectrum)[size : size + n_out]
     np.conjugate(series, out=series)
-    series *= _chirp(np.arange(first, first + n_out), n_time)
+    series *= _chirp(np.arange(1, 1 + n_out), n_time)
     return series.real

@@ -9,7 +9,8 @@ the interface ``WhittleData`` exposes, beside the exact gradient and
 Hessian of the whole or grouped sum (``loglik_derivatives``); test doubles
 with the same two methods can stand in for it.  ``full_loglik`` sums the
 terms without forming them where it can, as Whittle's quadratic form in the
-periodogram's cosine moments (``WhittleData.moment_loglik``), and
+periodogram's cosine moments (``WhittleData.moment_loglik``; the moments are one
+length-n_time FFT of the ordinates, ``WhittleData.moments``), and
 ``full_loglik_derivatives`` runs the derivative pass on a small grid whose
 weighted sums equal the frequency sums (``WhittleData._quadrature``).
 
@@ -25,21 +26,17 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import next_fast_len, rfft
 from scipy.signal import lfilter, unit_impulse
 
 from .models import LOG_TWO_PI, ModelSpec, density_from_trig, to_natural, trig_table, whittle_derivatives
-from .spectral import Periodogram, _cosine_series
+from .spectral import Periodogram
 
-# The moment form's truncations.  psi keeps L terms, L the smallest of _MIN_LAGS * 2^i at which
-# |psi| and 1/phi's impulse response sum below _TAIL over lags L..2L-1.  The moment table's
-# chunks are [0, _FIRST_MOMENTS), then doublings capped at n_freq, each a chirp convolution per
-# block of _BLOCK ordinates.  Both are fixed lattices, so the value at theta does not depend on
-# earlier calls.
+# The moment form's truncation.  psi keeps L terms, L the smallest of _MIN_LAGS * 2^i at which
+# |psi| and 1/phi's impulse response sum below _TAIL over lags L..2L-1: a fixed lattice, so the
+# value at theta does not depend on earlier calls.
 _MIN_LAGS = 16
 _TAIL = 1e-17
-_FIRST_MOMENTS = 2048
-_BLOCK = 8192
 _SHORT_CORRELATE = 256  # psi up to this long: np.correlate; longer: an FFT
 
 
@@ -97,26 +94,20 @@ class WhittleData:
         nat = to_natural(self.model, theta)
         return whittle_derivatives(self.model, theta, nat, self._trig, self.periodogram.ordinates, total, dot)
 
-    def moments(self, size: int) -> np.ndarray:
-        """Periodogram cosine moments A_j = sum_k I_k cos(j omega_k), j = 0, 1, ... (at least ``size``).
+    def moments(self) -> np.ndarray:
+        """Periodogram cosine moments A_j = sum_k I_k cos(j omega_k), j = 0..floor(n_time/2).
 
-        A_j is a circular sample autocovariance up to scale.  The table is cached and grows by
-        chunks: [0, _FIRST_MOMENTS), then each doubling it, capped at n_freq, so every A_j comes
-        from the same chunk whatever the order of requests.  A chunk is summed over blocks of
-        _BLOCK ordinates, one chirp convolution each, which keeps the transient near 1 MB where one
-        convolution of all ordinates took 9 MB at n_freq 1e5; a chunk up to a quarter of a block
-        costs about what a shorter one does.
+        A_j is a circular sample autocovariance up to scale: the real part of one length-n_time
+        ``rfft`` of the ordinates, placed at x_1..x_n_freq with zeros elsewhere.  Built once, on
+        the first moment-form call, so wrapped and ARFIMA models never pay for it.
         """
-        table = self._moments
-        while table.size < size:
-            stop = min(max(2 * table.size, _FIRST_MOMENTS), self.n_freq)
-            chunk, ordinates = np.zeros(stop - table.size), self.periodogram.ordinates
-            for start in range(0, ordinates.size, _BLOCK):
-                block = ordinates[start : start + _BLOCK]
-                chunk += _cosine_series(block, self.periodogram.grid.n_time, chunk.size, table.size, start + 1)
-            table = np.concatenate((table, chunk))
+        if not self._moments.size:
+            padded = np.zeros(self.periodogram.grid.n_time)
+            padded[1 : self.n_freq + 1] = self.periodogram.ordinates
+            table = rfft(padded).real.copy()  # the copy lets the complex output go
+            table.flags.writeable = False
             object.__setattr__(self, "_moments", table)
-        return table
+        return self._moments
 
     def _psi(self, nat) -> np.ndarray | None:
         """psi's first L coefficients (``moment_loglik``; past the model gate), or None where L would pass n_freq."""
@@ -152,8 +143,8 @@ class WhittleData:
         omega_k) = sum_m K_m cos(l nu_m) for |l| < M/2.  So the sums are sum_m E_m I~_m a(nu_m) and
         sum_m E_m b(nu_m), with pseudo-ordinates I~ = K/E, up to rounding and the coefficients
         beyond the psi tail.  nu_{M-m} repeats nu_m, so the grid keeps m = 0..M/2 and the interior
-        weights 2 E_m.  Cached per M; the moment table grows to M/2 lags.  None where psi would pass
-        n_freq lags, and where M would reach n_freq and the grid save nothing.
+        weights 2 E_m.  Cached per M; K reads the first M/2 entries of the moment table.  None where
+        psi would pass n_freq lags, and where M would reach n_freq and the grid save nothing.
         """
         psi = self._psi(nat)
         if psi is None:
@@ -171,7 +162,7 @@ class WhittleData:
             spread = np.full(half + 1, n_time / (2.0 * size))
             spread[0] -= 0.5
             spread[half] -= 0.5 * (n_time % 2 == 0)
-            kernel = np.fft.irfft(self.moments(half)[:half], size)[: half + 1]
+            kernel = np.fft.irfft(self.moments()[:half], size)[: half + 1]
             weights = 2.0 * spread
             weights[[0, half]] = spread[[0, half]]
             trig = trig_table(self.model, 2.0 * np.pi * np.arange(half + 1) / size)
@@ -208,7 +199,7 @@ class WhittleData:
             coeffs = np.fft.rfft(psi, length)
             acov = np.fft.irfft(coeffs.real**2 + coeffs.imag**2, length)[:lags]
         acov[1:] *= 2.0
-        ratio = float(acov @ self.moments(lags)[:lags]) / (nat.sigma2 / (2.0 * math.pi))
+        ratio = float(acov @ self.moments()[:lags]) / (nat.sigma2 / (2.0 * math.pi))
         log_sum = n_freq * (math.log(nat.sigma2) - LOG_TWO_PI)
         polys = [1.0, *nat.theta.tolist()], [1.0, *(-nat.phi).tolist()]
         for z in (1.0, -1.0)[: 2 - n_time % 2]:

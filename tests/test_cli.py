@@ -356,7 +356,8 @@ CORESET_EXTRA = """cv = coreset
 
 def test_coreset_fit_bytes_are_pinned(tmp_path):
     # the coreset variate's layout and arithmetic leave every draw and the
-    # posterior spectrum unchanged, bit for bit
+    # posterior spectrum unchanged, bit for bit (re-recorded when the cosine
+    # moments, which the mode search reads, became one rfft)
     cfg = fit_config(tmp_path, "coreset_pin", method="subsample", extra=CORESET_EXTRA)
     assert main(["fit", cfg]) == 0
     digests = {
@@ -364,19 +365,19 @@ def test_coreset_fit_bytes_are_pinned(tmp_path):
         for name in ("draws.csv", "spectrum.csv")
     }
     assert digests == {
-        "draws.csv": "4bcecaa769f4e8cd76b010b5709a270bcb3b7d677e2c4b8143d7294eae60cff5",
-        "spectrum.csv": "647edc0e1904e553973acd107bdb3fd46033893a9558d66689421403400cbc0d",
+        "draws.csv": "67a15ab5efd56c7364d93a638fe5e2b55d03d4fc27fe0b63f9fe0cf230b56811",
+        "spectrum.csv": "622a82b1bfae2c5cab29e0beee8ad129dc21709ab8d1feaa40b07cbc0010a48e",
     }
 
 
-# SHA-256 of draws.csv and spectrum.csv, recorded before the density kernel's buffers moved into models
+# SHA-256 of draws.csv and spectrum.csv; the full and Taylor draws re-recorded when the cosine moments became one rfft
 FIT_PINS = {
     "full": (
-        "e6faa9eb528b07cde45e54d8b5f0c743be4ed136a52ea212a30644993cf34a70",
+        "d4d2cff5cab68ee6e39d8eab599a252fe5157c6b664917788487a2efb1b67629",
         "eb26b5d6c88088351f9249b9e4b8dba5b24f1bfca4f301442350739d48d08b1f",
     ),
     "taylor": (
-        "6eb08cb78fab74e9999265ae51410a838b4e14260fa03e2e430cc92795d374e8",
+        "189a22962570bcbd76afa0ef1bc031e50196ad2fc0c8e0d6f478709145687639",
         "875069a3b9fc4b91536273cfc40db36f73835486edc26cd811ae01902cb7cce6",
     ),
     "wrapped": (
@@ -689,6 +690,31 @@ def test_simulate_requires_simulate_source(tmp_path, capsys):
     )
     assert main(["simulate", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("simulate", "sigma2 = -1", "innovation variance must be positive"),
+        ("fit", "phi = 1.2", "AR polynomial is not stationary"),
+    ],
+    ids=["sigma2", "phi"],
+)
+def test_bad_simulation_settings_are_config_errors(tmp_path, capsys, command, setting, message):
+    cfg = write_ini(
+        tmp_path / "badsim.ini",
+        f"""
+        [data]
+        source = simulate
+        {setting}
+        n_time = 64
+
+        [output]
+        directory = {tmp_path / "out"}
+        """,
+    )
+    assert main([command, cfg]) == 1
+    assert capsys.readouterr().err == f"error: config: {message}\n"
 
 
 def test_fit_data_in_large_units(tmp_path, capsys):

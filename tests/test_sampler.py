@@ -359,21 +359,22 @@ def test_pm_chain_eval_accounting(stub_and_groups):
     assert with_coreset.density_evals == coreset.setup_evals + (1 + 40) * per_iter
 
 
-def test_the_mode_search_builds_only_the_first_moment_chunk(arma11_data, monkeypatch):
-    # the mode search's quadrature reads the periodogram's cosine moments up to
-    # M/2 = 2L, inside the table's first chunk (shortened here, as n_freq is
-    # 2000); the Taylor variate and the subsampled chain never grow the table,
+def test_only_moment_form_callers_build_the_moment_table(arma11_data, monkeypatch):
+    # the Taylor variate and the subsampled chain read no cosine moments, so on
+    # a fresh WhittleData they build no table; the mode search builds it once,
     # and the full chain is still charged n_freq evaluations per estimate
-    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 256)
+    calls = []
+    transform = whittle.rfft
+    monkeypatch.setattr(whittle, "rfft", lambda *args: calls.append(args) or transform(*args))
     fixture, log_prior_fn, mode = arma11_data
     data = sm.WhittleData(periodogram=fixture.periodogram, model=fixture.model)
-    sm.find_mode(data, lambda v: sm.log_prior_derivatives(data.model, v), mode.theta)
-    assert data._grids and data._moments.size == 256
     groups = sm.make_groups(data.n_freq, 20)
     settings = sm.ChainSettings(iterations=30, burn_in=10, seed=1, m=3, n_blocks=1)
     sm.run_pm_chain(data, groups, sm.build_taylor_cv(data, groups, mode.theta), log_prior_fn, settings, mode)
-    assert data._moments.size == 256
+    assert not calls
+    sm.find_mode(data, lambda v: sm.log_prior_derivatives(data.model, v), mode.theta)
     full = sm.run_full_chain(data, log_prior_fn, settings, mode)
+    assert len(calls) == 1 and data._grids
     assert full.density_evals == (1 + 40) * data.n_freq
 
 

@@ -507,8 +507,8 @@ def test_moment_loglik_matches_the_summed_terms(case, n_time):
     event("moment form" if data._moments.size else "fallback")
     if distance >= 0.2:  # far from the unit circle the moment form applies, not the fallback
         assert data._moments.size > 0
-    # psi's length and the table's chunks are fixed lattices: an instance whose
-    # search starts elsewhere, at L = 16 from theta = 0, gives the same bits
+    # psi's length is a fixed lattice: an instance whose search starts
+    # elsewhere, at L = 16 from theta = 0, gives the same bits
     other = sm.WhittleData(periodogram=data.periodogram, model=spec)
     sm.full_loglik(other, np.zeros(spec.n_params))
     assert sm.full_loglik(other, theta) == value
@@ -542,23 +542,15 @@ def test_full_loglik_falls_back_on_overflow():
     assert data._moments.size > 0
 
 
-def test_moment_table_matches_the_direct_sum(monkeypatch):
-    # blocks of 64 ordinates and chunks from 32 lags on, on a small series:
-    # every A_j within 1e-12 A_0 of the direct sum, and the same bits whatever
-    # the order in which the table grew
-    monkeypatch.setattr(whittle, "_BLOCK", 64)
-    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 32)
-    pgram = sm.periodogram(sm.demean(sm.simulate_arma([0.7], [], 1.0, 1001, seed=6)))
-    data = sm.WhittleData(periodogram=pgram, model=sm.ModelSpec(1, 0))
-    table = data.moments(pgram.grid.n_freq)
-    assert table.size == pgram.grid.n_freq
+@pytest.mark.parametrize("n_time", [1001, 1000])
+def test_moment_table_matches_the_direct_sum(n_time):
+    # every A_j, j = 0..n_time/2, within 1e-12 A_0 of the direct sum
+    pgram = sm.periodogram(sm.demean(sm.simulate_arma([0.7], [], 1.0, n_time, seed=6)))
+    table = sm.WhittleData(periodogram=pgram, model=sm.ModelSpec(1, 0)).moments()
+    assert table.size == n_time // 2 + 1
     k = np.arange(1, pgram.grid.n_freq + 1)
-    direct = [pgram.ordinates @ np.cos(2.0 * np.pi * (j * k % 1001) / 1001) for j in range(table.size)]
+    direct = [pgram.ordinates @ np.cos(2.0 * np.pi * (j * k % n_time) / n_time) for j in range(table.size)]
     np.testing.assert_allclose(table, direct, rtol=0, atol=1e-12 * table[0])
-    stepwise = sm.WhittleData(periodogram=pgram, model=sm.ModelSpec(1, 0))
-    for size in (1, 40, 200, pgram.grid.n_freq):
-        stepwise.moments(size)
-    np.testing.assert_array_equal(stepwise.moments(1), table)
 
 
 def test_moment_loglik_keeps_psi_to_its_tail_threshold():
@@ -628,16 +620,26 @@ def test_quadrature_raises_outside_the_parameter_range():
         whittle.full_loglik_derivatives(data, np.array([0.1, 0.2, 800.0]))
 
 
-def test_quadrature_grows_the_moment_table_past_its_first_chunk(monkeypatch):
-    # L = 64, so M/2 = 128 passes a first chunk of 64 lags: the table grows by
-    # its next chunk, as for moment_loglik, and the grid applies
-    monkeypatch.setattr(whittle, "_FIRST_MOMENTS", 64)
+def test_the_moment_table_is_built_once_by_moment_form_callers(monkeypatch):
+    # one rfft, on the first moment-form call, serves the moment form and the
+    # quadrature at every theta after it; wrapped and ARFIMA models build none
+    calls = []
+    transform = whittle.rfft
+    monkeypatch.setattr(whittle, "rfft", lambda *args: calls.append(args) or transform(*args))
+    gated = [
+        (sm.ModelSpec(2, 1, sv_wrapper=True), [0.3, -0.2, 0.4, 0.1, -1.0]),
+        (sm.ModelSpec(1, 1, fractional="arfima"), [0.3, -0.2, 0.25, 0.1]),
+    ]
+    for spec, theta in gated:
+        data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=spec)
+        sm.full_loglik(data, np.array(theta))
+        whittle.full_loglik_derivatives(data, np.array(theta))
+    assert not calls
     data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=sm.ModelSpec(1, 1))
-    theta = np.array([0.3, 0.2, 0.0])
-    quadrature = whittle.full_loglik_derivatives(data, theta)
-    assert sorted(data._grids) == [256] and data._moments.size == 128
-    for got, want, scale in zip(quadrature, data.loglik_derivatives(theta), per_frequency_scales(data, theta)):
-        assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+    for theta in ([0.3, 0.2, 0.0], [0.9, -0.5, 0.4]):
+        sm.full_loglik(data, np.array(theta))
+        whittle.full_loglik_derivatives(data, np.array(theta))
+    assert len(calls) == 1 and data._grids
 
 
 @pytest.mark.parametrize(
