@@ -1,6 +1,7 @@
 """Inefficiency factors, computing time, kernel densities, mean spectra."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -195,3 +196,24 @@ def test_posterior_mean_spectrum_falls_back_to_the_kernel(monkeypatch, model, sl
     monkeypatch.setattr(diagnostics, "density_from_trig", lambda *args: calls.append(1) or kernel(*args))
     np.testing.assert_allclose(sm.posterior_mean_spectrum(draws, model, grid), expected, rtol=0, atol=1e-12)
     assert len(calls) == 1
+
+
+# SHA-256 of the cepstral coefficients of one ARMA and one ARTFIMA draw,
+# recorded before the decode and the filter call were trimmed
+CEPSTRUM_PINS = {
+    "arma": (128, "032062c36b31f219867395920857e59c9bce7ddd9419fd02770115b6f85e55b0"),
+    "artfima": (128, "f4c9739228845bfabc17c6554db4d905ccd0f9d1ecf08b12636112c74c474909"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, model, theta",
+    [
+        ("arma", sm.ModelSpec(2, 1), [0.4, -0.25, 0.35, 0.2]),
+        ("artfima", sm.ModelSpec(1, 1, fractional="artfima"), [0.3, -0.2, 0.25, -0.5, 0.1]),
+    ],
+    ids=["arma", "artfima"],
+)
+def test_cepstrum_is_pinned_bit_for_bit(name, model, theta):
+    coef = diagnostics._cepstrum(sm.to_natural(model, np.array(theta)), 8193, 64)
+    assert (coef.size, hashlib.sha256(coef.tobytes()).hexdigest()) == CEPSTRUM_PINS[name]

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 import specmcmc as sm
 from specmcmc import whittle
@@ -661,3 +663,66 @@ def test_gated_models_decode_theta_once(monkeypatch, spec, theta):
         calls.clear()
         full(data, np.array(theta))
         assert len(calls) == 1, full.__name__
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        (sm.ModelSpec(2, 1), [0.4, -0.25, 0.35, 0.2]),
+        (sm.ModelSpec(1, 1, fractional="artfima"), [0.3, -0.2, 0.25, -0.5, 0.1]),
+    ],
+    ids=["arma", "artfima"],
+)
+def test_moment_form_decodes_theta_once(monkeypatch, spec, theta):
+    # the moment form and the quadrature share one decode with psi
+    calls = []
+    decode = whittle.to_natural
+    monkeypatch.setattr(whittle, "to_natural", lambda *args: calls.append(args) or decode(*args))
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[8193], model=spec)
+    for full in (sm.full_loglik, whittle.full_loglik_derivatives):
+        calls.clear()
+        full(data, np.array(theta))
+        assert len(calls) == 1, full.__name__
+    assert data._moments.size and data._grids
+
+
+# float.hex values of the moment-form likelihood, recorded before psi's
+# filters and the decode were trimmed; their bits must not drift
+MOMENT_LOGLIK_PINS = {
+    ("arma", 8193): "0x1.7f305aeb534f1p+11",
+    ("arma", 8194): "0x1.7f35ab45f6f81p+11",
+    ("artfima", 8193): "0x1.06480eceee800p+11",
+    ("artfima", 8194): "0x1.065067323c7d6p+11",
+}
+
+
+@pytest.mark.parametrize("name, n_time", sorted(MOMENT_LOGLIK_PINS))
+def test_moment_loglik_is_pinned_bit_for_bit(name, n_time):
+    spec, theta = {
+        "arma": (sm.ModelSpec(2, 1), [0.4, -0.25, 0.35, 0.2]),
+        "artfima": (sm.ModelSpec(1, 1, fractional="artfima"), [0.3, -0.2, 0.25, -0.5, 0.1]),
+    }[name]
+    data = sm.WhittleData(periodogram=MOMENT_PERIODOGRAMS[n_time], model=spec)
+    assert sm.full_loglik(data, np.array(theta)).hex() == MOMENT_LOGLIK_PINS[name, n_time]
+    assert data._moments.size > 0
+
+
+@settings(deadline=None)
+@given(specs_with_vectors(bound=2.0).filter(unwrapped_low_order), st.sampled_from([16, 64, 256]))
+def test_compiled_filter_equals_lfilter(case, size):
+    # psi and the cepstrum call scipy's compiled IIR filter, the one lfilter
+    # runs after its checks; on their inputs the two agree bit for bit
+    spec, theta = case
+    nat = sm.to_natural(spec, theta)
+    ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
+    impulse = np.zeros(size)
+    impulse[0] = 1.0
+    binomial = impulse
+    if nat.lambda_ is not None:
+        j = np.arange(1.0, size)
+        binomial = np.cumprod(np.concatenate(([1.0], (j - 1.0 - nat.d) * (math.exp(-nat.lambda_) / j))))
+    cases = [(ar, ma, binomial), (np.ones(1), ar, impulse)]  # psi, 1/phi's impulse response
+    cases += [(np.arange(den.size) * den, den, impulse) for den in (ar, ma)]  # the cepstrum's
+    for b, a, x in cases:
+        if a.size > 1:
+            np.testing.assert_array_equal(_linear_filter(b, a, x, -1), lfilter(b, a, x))
