@@ -267,9 +267,13 @@ def _prepare(*configs: ExperimentConfig):
         raise series.SeriesFileError("the series is constant: every periodogram ordinate is zero")
     spec = config.model
     log_prior_fn = lambda v: models.log_prior(spec, v)
-    # log sigma2 starts at the white-noise mode, so data in any units start at their scale
-    theta0 = np.zeros(spec.n_params)
-    theta0[spec.param_names().index("log_sigma2")] = np.log(2.0 * np.pi * pgram.ordinates.mean())
+    # log sigma2 starts at the white-noise mode, so data in any units start at their scale; a wrapped model's
+    # log sigma2_eps at log(pi^2/2), log chi^2_1's variance: from 0 the search stops at a local mode on SV data
+    theta0, names, variance = np.zeros(spec.n_params), spec.param_names(), 2.0 * np.pi * pgram.ordinates.mean()
+    if spec.sv_wrapper:  # sigma2 takes the rest, floored at a tenth
+        theta0[names.index("log_sigma2_eps")] = np.log(np.pi**2 / 2.0)
+        variance = max(variance - np.pi**2 / 2.0, 0.1 * variance)
+    theta0[names.index("log_sigma2")] = np.log(variance)
     mode = sampler.find_mode(data, lambda v: models.log_prior_derivatives(spec, v), theta0)
     return data, log_prior_fn, mode
 

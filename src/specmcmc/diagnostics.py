@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import lfilter, unit_impulse
+from scipy.signal._sigtools import _linear_filter
 
 from .models import LOG_TWO_PI, ModelSpec, NaturalParams, density_from_trig, to_natural, trig_table
 from .sampler import ChainOutput
@@ -111,17 +111,20 @@ def _cepstrum(nat: NaturalParams, n_time: int, size: int) -> np.ndarray | None:
     """C_0..C_{K-1} with log f = 2 sum_k C_k cos k*omega (- d L for ARFIMA), or None for K > n_time.
 
     C_0 = log(sigma2/2pi)/2.  A polynomial c(z) = 1 + sum_j c_j z^j, roots outside the unit circle, has
-    log|c(exp(-i*omega))|^2 = 2 sum_k a_k cos k*omega, k a_k = k c_k - sum_j c_j (k - j) a_{k-j}: one
-    ``lfilter`` with denominator [1, c], at c = theta and, subtracted, c = -phi.  ARTFIMA's -d log T adds
-    d exp(-lambda k)/k.  K doubles from ``size`` until the last half of |C_k| sums below 1e-17.
+    log|c(exp(-i*omega))|^2 = 2 sum_k a_k cos k*omega, k a_k = k c_k - sum_j c_j (k - j) a_{k-j}: one IIR
+    filter with denominator [1, c], at c = theta and, subtracted, c = -phi: ``_psi``'s, scipy's compiled
+    ``_sigtools._linear_filter`` without ``lfilter``'s checks.  ARTFIMA's -d log T adds d exp(-lambda k)/k.
+    K doubles from ``size`` until the last half of |C_k| sums below 1e-17.
     """
-    polys = [(np.concatenate(([1.0], c)), sign) for c, sign in ((nat.theta, 1.0), (-nat.phi, -1.0)) if c.size]
+    polys = [(np.array([1.0, *c.tolist()]), sign) for c, sign in ((nat.theta, 1.0), (-nat.phi, -1.0)) if c.size]
     while True:
         size = min(size, n_time)
         k = np.arange(size, dtype=float)
         coef = np.zeros(size)  # k C_k until the division
+        impulse = np.zeros(size)
+        impulse[0] = 1.0
         for den, sign in polys:
-            coef += sign * lfilter(np.arange(den.size) * den, den, unit_impulse(size))
+            coef += sign * _linear_filter(np.arange(den.size) * den, den, impulse, -1)
         if nat.lambda_ is not None:
             coef[1:] += nat.d * np.exp(-nat.lambda_ * k[1:])
         coef[1:] /= k[1:]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
@@ -44,7 +44,7 @@ class ModelSpec:
         if self.fractional not in FRACTIONAL_KINDS:
             raise ValueError(f"fractional must be one of {FRACTIONAL_KINDS}")
 
-    @property
+    @cached_property  # read on every decode and prior evaluation
     def n_params(self) -> int:
         extra = {"none": 0, "arfima": 1, "artfima": 2}[self.fractional]
         return self.ar_order + self.ma_order + extra + 1 + int(self.sv_wrapper)
@@ -108,17 +108,21 @@ def _float_sum(values) -> float:
     return reduce(add, values[n - n % 8 :], 0.0 + head)  # numpy's start 0.0 makes -0.0 into 0.0
 
 
+def _durbin_levinson(pacf) -> list[float]:
+    """:func:`pacf_to_ar` on Python floats: numpy's per-call cost would dominate orders this small."""
+    coeffs: list[float] = []
+    for r in map(float, pacf):
+        coeffs = [c - r * b for c, b in zip(coeffs, coeffs[::-1])] + [r] if coeffs else [r]
+    return coeffs
+
+
 def pacf_to_ar(pacf) -> np.ndarray:
     """Map partial autocorrelations to AR coefficients (Durbin-Levinson).
 
     phi_k^(k) = pacf_k and phi_j^(k) = phi_j^(k-1) - pacf_k * phi_{k-j}^(k-1);
     any pacf in (-1, 1)^q yields a stationary coefficient vector.
     """
-    # Python floats: numpy's per-call cost would dominate orders this small
-    coeffs: list[float] = []
-    for r in map(float, pacf):
-        coeffs = [c - r * b for c, b in zip(coeffs, reversed(coeffs))] + [r]
-    return np.array(coeffs)
+    return np.array(_durbin_levinson(pacf), dtype=float)
 
 
 def _pacf_to_ar_derivatives(pacf) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +176,9 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
 
     Raises :class:`ParameterRangeError` when a log-scale coordinate (log
     sigma2, log lambda, log sigma2_eps) is too large or too small for its exp
-    to be a normal float.
+    to be a normal float.  Every proposal is decoded here, so the work stays on
+    Python floats, phi and theta are views of one array, and the result skips
+    :class:`NaturalParams`' checks, which its values pass by construction.
     """
     vector = np.asarray(vector, dtype=float)
     if vector.shape != (spec.n_params,):
@@ -182,10 +188,9 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
         raise ValueError("parameter vector contains non-finite entries")
     q, p = spec.ar_order, spec.ma_order
     pacf = np.tanh(vector[: q + p]).tolist()  # elementwise, so one call serves both blocks
-    phi = pacf_to_ar(pacf[:q])
     # The MA polynomial is 1 + theta_1 z + ...; negating the stationary AR
     # image of the reflected pacf keeps every root outside the unit circle.
-    theta = -pacf_to_ar([-r for r in pacf[q:]])
+    coeffs = np.array(_durbin_levinson(pacf[:q]) + [-c for c in _durbin_levinson([-r for r in pacf[q:]])])
     pos = q + p
     d, lambda_ = 0.0, None
     if spec.fractional == "arfima":
@@ -198,7 +203,9 @@ def to_natural(spec: ModelSpec, vector) -> NaturalParams:
     sigma2 = _exp_positive(values[pos], "sigma2")
     pos += 1
     sigma2_eps = _exp_positive(values[pos], "sigma2_eps") if spec.sv_wrapper else None
-    return NaturalParams(phi=phi, theta=theta, d=d, lambda_=lambda_, sigma2=sigma2, sigma2_eps=sigma2_eps)
+    nat = object.__new__(NaturalParams)
+    vars(nat).update(phi=coeffs[:q], theta=coeffs[q:], d=d, lambda_=lambda_, sigma2=sigma2, sigma2_eps=sigma2_eps)
+    return nat
 
 
 def trig_table(spec: ModelSpec, omegas) -> np.ndarray:

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft
-from scipy.signal import lfilter, unit_impulse
+from scipy.signal._sigtools import _linear_filter
 
 from .models import LOG_TWO_PI, ModelSpec, density_from_trig, to_natural, trig_table, whittle_derivatives
 from .spectral import Periodogram
@@ -110,22 +110,27 @@ class WhittleData:
         return self._moments
 
     def _psi(self, nat) -> np.ndarray | None:
-        """psi's first L coefficients (``moment_loglik``; past the model gate), or None where L would pass n_freq."""
-        ar, ma = np.concatenate(([1.0], -nat.phi)), np.concatenate(([1.0], nat.theta))
+        """psi's first L coefficients (``moment_loglik``; past the model gate), or None where L would pass n_freq.
+
+        The IIR filters are ``scipy.signal._sigtools._linear_filter``, which ``lfilter`` runs after checks that
+        cost more than the filtering here and that ``to_natural``'s values pass; tests pin the two equal.
+        """
+        ar, ma = np.array([1.0, *(-nat.phi).tolist()]), np.array([1.0, *nat.theta.tolist()])
         size = self._lags
         while size <= self.n_freq:
-            impulse = unit_impulse(2 * size)
+            impulse = np.zeros(2 * size)
+            impulse[0] = 1.0
             binomial = impulse
             if nat.lambda_ is not None:
                 j = np.arange(1.0, 2 * size)
                 binomial = np.cumprod(np.concatenate(([1.0], (j - 1.0 - nat.d) * (math.exp(-nat.lambda_) / j))))
-            # each prefix is the same whatever the length; lfilter takes a slow path for an FIR filter
-            psi = lfilter(ar, ma, binomial) if ma.size > 1 else np.convolve(binomial, ar)[: 2 * size]
+            # each prefix is the same whatever the length; an FIR filter is a convolution
+            psi = _linear_filter(ar, ma, binomial, -1) if ma.size > 1 else np.convolve(binomial, ar)[: 2 * size]
             tail = np.abs(psi)
             if nat.phi.size:
-                tail += np.abs(lfilter([1.0], ar, impulse))
+                tail += np.abs(_linear_filter(ar[:1], ar, impulse, -1))  # ar[:1] is [1.0]
             windows = np.add.reduceat(tail, _MIN_LAGS << np.arange((size // _MIN_LAGS).bit_length()))
-            below = np.flatnonzero(windows < _TAIL)
+            below = (windows < _TAIL).nonzero()[0]
             if below.size:
                 lags = _MIN_LAGS << int(below[0])
                 object.__setattr__(self, "_lags", lags)

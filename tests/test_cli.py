@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import specmcmc as sm
-from specmcmc.cli import _KEYS, ConfigError, _write_csv, ExperimentConfig, load_config, main
+from specmcmc.cli import _KEYS, ConfigError, _prepare, _write_csv, ExperimentConfig, load_config, main
 
 
 def ini_text(config):
@@ -370,7 +371,9 @@ def test_coreset_fit_bytes_are_pinned(tmp_path):
     }
 
 
-# SHA-256 of draws.csv and spectrum.csv; the full and Taylor draws re-recorded when the cosine moments became one rfft
+# SHA-256 of draws.csv and spectrum.csv; the full and Taylor draws re-recorded when the cosine moments
+# became one rfft, the wrapped ones when its mode search started at log sigma2_eps = log(pi^2/2), which
+# found the same mode up to one unit in the last place of log sigma2_eps
 FIT_PINS = {
     "full": (
         "d4d2cff5cab68ee6e39d8eab599a252fe5157c6b664917788487a2efb1b67629",
@@ -381,8 +384,8 @@ FIT_PINS = {
         "875069a3b9fc4b91536273cfc40db36f73835486edc26cd811ae01902cb7cce6",
     ),
     "wrapped": (
-        "ede8865881abc355470314e07a2d84ad451c44ff3f575154a44000078726e936",
-        "ee3440f83f679c9905ada625fb4e6889b9b4c118aa1613a4d331e8ac78d5d63d",
+        "a120bcffd60dcb42afa7946bdcba07cc886a8c5c0c81f0069d5f08944aeced0f",
+        "52672f8f9a40231e9998d2fd1a922124eff5764221b7802f05b946ba6a9a687d",
     ),
 }
 
@@ -799,3 +802,19 @@ def test_summary_fingerprints_the_periodogram(tmp_path, capsys):
     assert fingerprint("again", values) == first
     values[150] += 0.5
     assert fingerprint("changed", values) != first
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_wrapped_mode_search_finds_the_sv_mode(tmp_path, seed):
+    # log squared returns of a standard SV series: h an AR(1) at 0.95 with
+    # innovation variance 0.05, n = 100001.  From log sigma2_eps = 0 the mode
+    # search stopped near phi = 0.12; from log(pi^2/2), the variance of
+    # log chi^2_1, it reaches the truth
+    rng = np.random.default_rng(seed)
+    h = lfilter([1.0], [1.0, -0.95], math.sqrt(0.05) * rng.standard_normal(101_001))[1000:]
+    path = tmp_path / "returns.txt"
+    path.write_text("# value\n" + "\n".join(map(repr, (np.exp(h / 2) * rng.standard_normal(h.size)).tolist())))
+    config = ExperimentConfig(source="file", path=str(path), log_squares=True, ar_order=1, sv_wrapper=True)
+    _, _, mode = _prepare(config)
+    assert math.tanh(mode.theta[0]) > 0.9
+    assert abs(mode.theta[2] - math.log(math.pi**2 / 2.0)) < 0.05
