@@ -180,7 +180,7 @@ class WhittleData:
 
         For an unwrapped ARMA or ARTFIMA model, 1/f = (2 pi/sigma2) |psi(z)|^2 with z = exp(-i omega)
         and psi(z) = phi(z) (1 - rho z)^d / theta(z) = sum_j psi_j z^j, rho = exp(-lambda): one
-        ``lfilter`` of (1 - rho z)^d's coefficients, b_j = b_{j-1} (j - 1 - d) rho / j (an impulse for
+        IIR filter of (1 - rho z)^d's coefficients, b_j = b_{j-1} (j - 1 - d) rho / j (an impulse for
         ARMA).  With c the autocorrelation of psi, sum_k I_k/f_k = (2 pi/sigma2) (c_0 A_0 + 2 sum_j
         c_j A_j) (Whittle 1953).  Over the n-th roots of unity, prod (1 - a zeta^k) = 1 - a^n, so
         sum_k log f_k = N log(sigma2/2pi) - log|theta(1)/phi(1)| (- log|theta(-1)/phi(-1)| for even
